@@ -349,50 +349,69 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _number(mapping: dict, key: str, where: str, default: float | None = None) -> float:
+    """Finite float at mapping[key], required unless a default is given.
+    JSON admits NaN and Infinity, which no field of the model can hold."""
+    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    return number
+
+
+def _integer(mapping: dict, key: str, where: str, default: int) -> int:
+    number = _number(mapping, key, where, default)
+    if not number.is_integer():
+        raise ConfigError(f"{where}.{key} must be an integer, got {number!r}")
+    return int(number)
+
+
 def _filter_from_dict(d: dict, where: str) -> FilterSpec:
-    center = float(_require(d, "center_nm", where))
-    fwhm = float(_require(d, "fwhm_nm", where))
+    center = _number(d, "center_nm", where)
     return FilterSpec(
         center_wavelength=center,
-        sigma=fwhm_nm_to_sigma(fwhm, center),
-        transmission=float(d.get("transmission", 1.0)),
+        sigma=fwhm_nm_to_sigma(_number(d, "fwhm_nm", where), center),
+        transmission=_number(d, "transmission", where, 1.0),
     )
 
 
 def config_from_dict(doc: dict) -> SourceConfig:
     pump_d = _require(doc, "pump", "config")
-    center = float(_require(pump_d, "center_nm", "pump"))
+    center = _number(pump_d, "center_nm", "pump")
     pump = PumpSpec(
         center_wavelength=center,
-        bandwidth_sigma=fwhm_nm_to_sigma(float(_require(pump_d, "fwhm_nm", "pump")), center),
-        peak_power=float(pump_d.get("peak_power_w", 1.0)),
-        repetition_rate=float(pump_d.get("rep_rate_hz", 41e6)),
+        bandwidth_sigma=fwhm_nm_to_sigma(_number(pump_d, "fwhm_nm", "pump"), center),
+        peak_power=_number(pump_d, "peak_power_w", "pump", 1.0),
+        repetition_rate=_number(pump_d, "rep_rate_hz", "pump", 41e6),
     )
     fiber_d = _require(doc, "fiber", "config")
     fiber = FiberSpec(
-        length=float(_require(fiber_d, "length_m", "fiber")),
-        nonlinear_coefficient=float(_require(fiber_d, "gamma_per_w_km", "fiber")),
-        transmission=float(fiber_d.get("transmission", 1.0)),
+        length=_number(fiber_d, "length_m", "fiber"),
+        nonlinear_coefficient=_number(fiber_d, "gamma_per_w_km", "fiber"),
+        transmission=_number(fiber_d, "transmission", "fiber", 1.0),
     )
-    gain = GainParameter(float(_require(_require(doc, "gain", "config"), "g_squared", "gain")))
+    gain = GainParameter(_number(_require(doc, "gain", "config"), "g_squared", "gain"))
     filters = _require(doc, "filters", "config")
     detectors_d = _require(doc, "detectors", "config")
     if len(detectors_d) != 3:
         raise ConfigError("config needs exactly three detector entries")
     detectors = tuple(
         DetectorSpec(
-            efficiency=float(_require(d, "efficiency", f"detectors[{i}]")),
-            dark_count_prob=float(d.get("dark_count_prob", 0.0)),
-            gate_divisor=int(d.get("gate_divisor", 1)),
-            dead_time_gates=int(d.get("dead_time_gates", 0)),
-            gate_width_ns=float(d.get("gate_width_ns", 2.5)),
+            efficiency=_number(d, "efficiency", f"detectors[{i}]"),
+            dark_count_prob=_number(d, "dark_count_prob", f"detectors[{i}]", 0.0),
+            gate_divisor=_integer(d, "gate_divisor", f"detectors[{i}]", 1),
+            dead_time_gates=_integer(d, "dead_time_gates", f"detectors[{i}]", 0),
+            gate_width_ns=_number(d, "gate_width_ns", f"detectors[{i}]", 2.5),
         )
         for i, d in enumerate(detectors_d)
     )
     channels_d = doc.get("channels", {})
     channels = ChannelExtras(
-        signal=float(channels_d.get("signal_extra", 1.0)),
-        idler=float(channels_d.get("idler_extra", 1.0)),
+        signal=_number(channels_d, "signal_extra", "channels", 1.0),
+        idler=_number(channels_d, "idler_extra", "channels", 1.0),
     )
     return SourceConfig(
         pump=pump,

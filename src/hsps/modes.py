@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import SourceConfig, normalize
 from .oracle import FrequencyGrid, make_default_grids
+from .spectral import filter_amplitude, pump_envelope
 from .stats import (
     car,
     collection_efficiency,
@@ -66,14 +67,10 @@ def filtered_jsa(
     normalized to unit Frobenius norm."""
     if grid_s is None or grid_i is None:
         grid_s, grid_i = make_default_grids(config)
-    sp = config.pump.bandwidth_sigma
-    xs = grid_s.points() - config.pump.center_omega
-    xi = grid_i.points() - config.pump.center_omega
-    fs = np.exp(-((xs - (config.signal_filter.center_omega - config.pump.center_omega)) ** 2)
-                / (2.0 * config.signal_filter.sigma**2))
-    fi = np.exp(-((xi - (config.idler_filter.center_omega - config.pump.center_omega)) ** 2)
-                / (2.0 * config.idler_filter.sigma**2))
-    jsa = fs[:, None] * fi[None, :] * np.exp(-np.add.outer(xs, xi) ** 2 / (4.0 * sp**2))
+    ws, wi = grid_s.points(), grid_i.points()
+    fs = filter_amplitude(ws, config.signal_filter)
+    fi = filter_amplitude(wi, config.idler_filter)
+    jsa = fs[:, None] * fi[None, :] * pump_envelope(ws[:, None], wi[None, :], config.pump)
     norm = np.linalg.norm(jsa)
     if norm == 0.0:
         raise ValueError("joint amplitude vanished on the grid")
@@ -112,19 +109,17 @@ def marginal_mode_number(
     within discretization error.
     """
     if band == "signal":
-        filt = config.signal_filter
+        filt, grid_index = config.signal_filter, 0
     elif band == "idler":
-        filt = config.idler_filter
+        filt, grid_index = config.idler_filter, 1
     else:
         raise ValueError(f"band must be 'signal' or 'idler', got {band!r}")
     if grid is None:
-        grid = FrequencyGrid(
-            filt.center_omega, 6.0 * max(config.pump.bandwidth_sigma, filt.sigma), 256
-        )
-    x = grid.points() - filt.center_omega
-    f = np.exp(-(x**2) / (2.0 * filt.sigma**2))
+        grid = make_default_grids(config)[grid_index]
+    w = grid.points()
+    f = filter_amplitude(w, filt)
     kernel = np.outer(f, f) * np.exp(
-        -np.subtract.outer(x, x) ** 2 / (8.0 * config.pump.bandwidth_sigma**2)
+        -np.subtract.outer(w, w) ** 2 / (8.0 * config.pump.bandwidth_sigma**2)
     )
     mu = np.linalg.eigvalsh(kernel)
     mu = np.clip(mu, 0.0, None)
@@ -202,16 +197,12 @@ def indistinguishability_report(
     free_values = np.asarray(free_values, dtype=float)
 
     def curve(strategy: str) -> StrategyCurve:
-        g2v = np.empty_like(free_values)
-        hv = np.empty_like(free_values)
-        for k, sig in enumerate(free_values):
-            if strategy == NARROW_IDLER:
-                sig_s, sig_i = sig, fixed_sigma
-            else:
-                sig_s, sig_i = fixed_sigma, sig
-            car_value = car(p_pair, sig_s, sig_i)
-            g2v[k] = heralded_g2_approx(unconditional_g2(sig_s), car_value)
-            hv[k] = collection_efficiency(sig_s, sig_i)
+        if strategy == NARROW_IDLER:
+            sig_s, sig_i = free_values, fixed_sigma
+        else:
+            sig_s, sig_i = fixed_sigma, free_values
+        g2v = heralded_g2_approx(unconditional_g2(sig_s), car(p_pair, sig_s, sig_i))
+        hv = collection_efficiency(sig_s, sig_i)
         return StrategyCurve(strategy=strategy, sigma_free=free_values.copy(), g_c2=g2v, h=hv)
 
     idler_curve = curve(NARROW_IDLER)

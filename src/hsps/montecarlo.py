@@ -33,9 +33,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import SourceConfig, normalize, with_gain
-from .stats import CountProbabilities, full_report
-
-_SQRT2_PI = math.sqrt(2.0) * math.pi
+from .stats import _SQRT2_PI, CountProbabilities, full_report
 
 DEFAULT_CHUNK = 1 << 20
 
@@ -278,18 +276,22 @@ def _joint_probs(p: np.ndarray) -> dict:
     }
 
 
+def _herald_norm(config: SourceConfig) -> float:
+    """Detection efficiency of signal arm 2, coupler split included: H = eta_D / it."""
+    return 0.5 * config.signal_channel_transmission * config.detectors[1].efficiency
+
+
 def model_predictions(model: PulseModel, config: SourceConfig) -> dict:
     """Exact expectation values of the tally-based estimators, dark counts
     and Raman included, assuming no dead-time thinning."""
     j = _joint_probs(effective_pattern_probs(model))
     acc_12 = j["p1"] * j["p2"]
     eta_d = (j["p12"] - acc_12) / j["p1"]
-    herald_norm = 0.5 * config.signal_channel_transmission * config.detectors[1].efficiency
     return {
         "car": j["p12"] / acc_12,
         "g_c2": j["p123"] * j["p1"] / (j["p13"] * j["p12"]),
         "eta_d": eta_d,
-        "h": eta_d / herald_norm,
+        "h": eta_d / _herald_norm(config),
         "joint": j,
     }
 
@@ -477,7 +479,7 @@ def estimate(tallies: TallyCounters, config: SourceConfig) -> Estimates:
     eta_d_value = true_cc / n1
     eta_d_se = math.sqrt((c12 + a12) / n1**2 + eta_d_value**2 / n1)
 
-    herald_norm = 0.5 * config.signal_channel_transmission * config.detectors[1].efficiency
+    herald_norm = _herald_norm(config)
     if herald_norm <= 0:
         raise EstimationError("signal-channel detection efficiency is zero")
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigWarning, SourceConfig, normalize
+from .spectral import filter_amplitude, pair_kernel_leading
 from .stats import CountProbabilities, full_report
 
 BOUNDARY_LEAK = 1e-8          # truncation warning threshold, relative to the kernel peak
@@ -97,17 +98,10 @@ def make_default_grids(config: SourceConfig, n_points: int = DEFAULT_POINTS):
     """Band grids for the quadrature oracle: 6 widths of the wider of the
     band filter and the pump, centered on the filter centers."""
     sp = config.pump.bandwidth_sigma
-    grid_s = FrequencyGrid(
-        config.signal_filter.center_omega,
-        6.0 * max(sp, config.signal_filter.sigma),
-        n_points,
+    return tuple(
+        FrequencyGrid(filt.center_omega, 6.0 * max(sp, filt.sigma), n_points)
+        for filt in (config.signal_filter, config.idler_filter)
     )
-    grid_i = FrequencyGrid(
-        config.idler_filter.center_omega,
-        6.0 * max(sp, config.idler_filter.sigma),
-        n_points,
-    )
-    return grid_s, grid_i
 
 
 def make_click_grids(config: SourceConfig, n_points: int = DEFAULT_CLICK_POINTS):
@@ -177,22 +171,18 @@ def build_correlations(
     grid_i.check_coverage(max(sp, config.idler_filter.sigma))
 
     g2 = config.gain.g_squared
-    g_amp = config.gain.amplitude
     eta_s = config.signal_channel_transmission
     eta_i = config.idler_channel_transmission
 
-    # offsets from the pump carrier keep the quadratic phases cancellation-free
-    xs = grid_s.points() - config.pump.center_omega
-    xi = grid_i.points() - config.pump.center_omega
-    fs = np.exp(-((xs - (config.signal_filter.center_omega - config.pump.center_omega)) ** 2)
-                / (2.0 * config.signal_filter.sigma**2))
-    fi = np.exp(-((xi - (config.idler_filter.center_omega - config.pump.center_omega)) ** 2)
-                / (2.0 * config.idler_filter.sigma**2))
-
-    phi = np.exp(-np.add.outer(xs, xi) ** 2 / (4.0 * sp**2))
-    cross = np.sqrt(eta_s * eta_i) * (g_amp / sp) * fs[:, None] * fi[None, :] * phi
-    auto_signal = eta_s * (g2 / sp**2) * np.outer(fs, fs) * _inner_pump_integral(xs, sp)
-    auto_idler = eta_i * (g2 / sp**2) * np.outer(fi, fi) * _inner_pump_integral(xi, sp)
+    ws, wi = grid_s.points(), grid_i.points()
+    fs = filter_amplitude(ws, config.signal_filter)
+    fi = filter_amplitude(wi, config.idler_filter)
+    pair = pair_kernel_leading(ws[:, None], wi[None, :], config.gain, config.pump)
+    cross = np.sqrt(eta_s * eta_i) * fs[:, None] * fi[None, :] * pair
+    # the inner integral runs on offsets from the pump carrier
+    w0 = config.pump.center_omega
+    auto_signal = eta_s * (g2 / sp**2) * np.outer(fs, fs) * _inner_pump_integral(ws - w0, sp)
+    auto_idler = eta_i * (g2 / sp**2) * np.outer(fi, fi) * _inner_pump_integral(wi - w0, sp)
 
     for name, matrix in (("auto_signal", auto_signal), ("auto_idler", auto_idler), ("cross", cross)):
         leak = _boundary_leak(matrix)
@@ -228,11 +218,15 @@ def _counts_from_matrices(config: SourceConfig, mats: CorrelationMatrices) -> Co
     bunch23 = 0.25 * e2 * e3 * float(np.sum(a_s * a_s)) * ds * ds
     # triple contraction of the cross kernel with the signal number kernel
     w4 = 0.5 * e1 * e2 * e3 * float(np.einsum("kl,ml,km->", c, c, a_s)) * ds * ds * di
+    return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
 
+
+def _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4) -> CountProbabilities:
+    """Count probabilities from the singles, the true pair coincidences
+    t12/t13, the signal-arm bunching bunch23 and the triple contraction w4."""
     accidental = p1 * p2 * p3
     pair_single = t12 * p3 + t13 * p2
     bunching = p1 * bunch23 + w4
-
     return CountProbabilities(
         p1=p1,
         p2=p2,
@@ -294,20 +288,17 @@ def numeric_counts(
 
 def _pair_kernel(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> np.ndarray:
     """Discretized pair-creation kernel R (no filters: those act as loss)."""
-    sp = config.pump.bandwidth_sigma
-    xs = grid_s.points() - config.pump.center_omega
-    xi = grid_i.points() - config.pump.center_omega
-    phi = np.exp(-np.add.outer(xs, xi) ** 2 / (4.0 * sp**2))
-    return (config.gain.amplitude / sp) * phi * np.sqrt(grid_s.spacing * grid_i.spacing)
+    pair = pair_kernel_leading(
+        grid_s.points()[:, None], grid_i.points()[None, :], config.gain, config.pump
+    )
+    return pair * np.sqrt(grid_s.spacing * grid_i.spacing)
 
 
 def _band_transmissions(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
     """Intensity transmissions per mode: (idler to detector 1, signal band to
     each arm detector, without the coupler split)."""
-    fs2 = np.exp(-((grid_s.points() - config.signal_filter.center_omega) ** 2)
-                 / config.signal_filter.sigma**2)
-    fi2 = np.exp(-((grid_i.points() - config.idler_filter.center_omega) ** 2)
-                 / config.idler_filter.sigma**2)
+    fs2 = filter_amplitude(grid_s.points(), config.signal_filter) ** 2
+    fi2 = filter_amplitude(grid_i.points(), config.idler_filter) ** 2
     e1, e2, e3 = (d.efficiency for d in config.detectors)
     t1 = config.idler_channel_transmission * e1 * fi2
     t2_band = config.signal_channel_transmission * e2 * fs2
@@ -333,23 +324,7 @@ def _low_gain_counts(R: np.ndarray, t1: np.ndarray, t2b: np.ndarray, t3b: np.nda
     t13 = float(t3 @ pair @ t1)
     bunch23 = float(t2 @ (n_s * n_s) @ t3)
     w4 = 2.0 * float(np.einsum("k,m,l,kl,ml,km->", t2, t3, t1, R, R, n_s))
-    accidental = p1 * p2 * p3
-    pair_single = t12 * p3 + t13 * p2
-    bunching = p1 * bunch23 + w4
-    return CountProbabilities(
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        p12=p1 * p2 + t12,
-        p13=p1 * p3 + t13,
-        p23=p2 * p3 + bunch23,
-        p12_acc=p1 * p2,
-        p13_acc=p1 * p3,
-        p123=accidental + pair_single + bunching,
-        p123_accidental=accidental,
-        p123_pair_single=pair_single,
-        p123_bunching=bunching,
-    )
+    return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
 
 
 def click_probs_from_pair_kernel(

@@ -34,6 +34,7 @@ from .config import ConfigWarning, SourceConfig, normalize
 from .montecarlo import (
     EstimatorResult,
     TallyCounters,
+    _herald_norm,
     build_pulse_model,
     simulate,
 )
@@ -140,6 +141,8 @@ def read_power_records(path, config_id: str = "") -> list[PowerPointRecord]:
                     raise PipelineError(
                         f"{path}:{line_no}: column {col}: cannot parse {cell!r}"
                     ) from None
+            if not math.isfinite(values["p_ave_mw"]):
+                raise PipelineError(f"{path}:{line_no}: column p_ave_mw: {row[0]!r} is not finite")
             tallies = TallyCounters(
                 gates=values["gates"],
                 singles_1=values["s1_counts"],
@@ -242,7 +245,7 @@ def raman_correct(
     s1.
     """
     bands = normalize(config)
-    herald_norm = 0.5 * config.signal_channel_transmission * config.detectors[1].efficiency
+    herald_norm = _herald_norm(config)
     eta_herald = config.idler_channel_transmission * config.detectors[0].efficiency
     xi = collection_efficiency(bands.sigma_s_prime, bands.sigma_i_prime)
     var_s1 = fit.covariance[0][0]
@@ -418,15 +421,9 @@ def sweep_contour(
         raise PipelineError("ranges and step must be positive")
     sig_s = np.arange(sigma_s_range[0], sigma_s_range[1] + step / 2, step)
     sig_i = np.arange(sigma_i_range[0], sigma_i_range[1] + step / 2, step)
-    car_surf = np.empty((sig_s.size, sig_i.size))
-    g2_surf = np.empty_like(car_surf)
-    h_surf = np.empty_like(car_surf)
-    for a, ss in enumerate(sig_s):
-        for b, si in enumerate(sig_i):
-            car_value = car_closed_form(p_pair, ss, si)
-            car_surf[a, b] = car_value
-            g2_surf[a, b] = heralded_g2_approx(unconditional_g2(ss), car_value)
-            h_surf[a, b] = collection_efficiency(ss, si)
+    car_surf = car_closed_form(p_pair, sig_s[:, None], sig_i[None, :])
+    g2_surf = heralded_g2_approx(unconditional_g2(sig_s)[:, None], car_surf)
+    h_surf = collection_efficiency(sig_s[:, None], sig_i[None, :])
     return ContourGrid(
         sigma_s_values=sig_s,
         sigma_i_values=sig_i,

@@ -1,4 +1,4 @@
-"""Spectral kernels of the pair source.
+"""The spectral model of the pair source, in one place.
 
 The pulsed pump with Gaussian spectrum (sigma_p around omega_p0) produces
 signal/idler pairs whose joint amplitude carries the energy-conservation
@@ -10,11 +10,16 @@ detected through Gaussian bandpass filters
 
     f(w) = exp(-(w - w_0)^2 / (2 sigma^2)).
 
+The functions here are the only code that evaluates phi, f and the pair
+kernel; the oracle and the mode analysis build their grids from them.
+
 The full input/output transformation of the field operators is a Bogoliubov
 transformation whose kernels are power series in the gain amplitude |G|:
 an even ("beam-splitter like") series h1 and an odd ("pair creation") series
 h2.  The n = 0 term of h1 is a zero-width Gaussian, i.e. the identity; it is
-kept apart from the smooth n >= 1 terms so the no-gain limit is exact.
+kept apart from the smooth n >= 1 terms so the no-gain limit is exact.  The
+series is the reference the Gaussian click engine is tested against; its |G|
+is 2 sqrt(pi) times the closed-form |G| (see :func:`pair_kernel_leading`).
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ def pump_envelope(omega_s, omega_i, pump: PumpSpec):
 
     Accepts scalars or broadcastable arrays of angular frequencies (rad/s).
     """
-    detuning = omega_s + omega_i - 2.0 * pump.center_omega
+    # offsets from the pump carrier keep the square cancellation-free
+    detuning = (omega_s - pump.center_omega) + (omega_i - pump.center_omega)
     return np.exp(-(detuning**2) / (4.0 * pump.bandwidth_sigma**2))
 
 

@@ -20,7 +20,8 @@ Key quantities:
     H         = xi                                          heralding eff.
 
 Dark counts are deliberately absent from these formulas; they belong to the
-Monte Carlo model and the experimental correction chain.
+Monte Carlo model and the experimental correction chain.  car, xi, g_s2 and
+the approximate gc2 also take numpy arrays of bandwidths, elementwise.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, asdict
+
+import numpy as np
 
 from .config import ConfigWarning, ModelValidityError, SourceConfig, normalize
 
@@ -112,12 +115,12 @@ def signal_singles_prob(g2: float, eta_s: float, eta_det: float, sig_s: float) -
     return _check_prob(_PI_OVER_SQRT2 * g2 * eta_s * eta_det * sig_s, "P2(3)")
 
 
-def collection_efficiency(sig_s: float, sig_i: float) -> float:
+def collection_efficiency(sig_s, sig_i):
     """xi, probability that the partner of a collected idler photon falls
     inside the signal filter: sig_s / sqrt(2 + sig_i^2 + sig_s^2)."""
-    if sig_s <= 0 or sig_i <= 0:
+    if np.any(sig_s <= 0) or np.any(sig_i <= 0):
         raise ValueError("normalized bandwidths must be positive")
-    return sig_s / math.sqrt(2.0 + sig_i**2 + sig_s**2)
+    return sig_s / np.sqrt(2.0 + sig_i**2 + sig_s**2)
 
 
 def two_pair_collection_efficiency(sig_s: float, sig_i: float) -> float:
@@ -145,22 +148,22 @@ def coincidence_prob(p1: float, p2: float, eta_s: float, eta_det: float, xi: flo
     return _check_prob(p1 * p2 + 0.5 * eta_s * eta_det * p1 * xi, "P12(0)")
 
 
-def car(p_pair: float, sig_s: float, sig_i: float) -> float:
+def car(p_pair, sig_s, sig_i):
     """Coincidence-to-accidental ratio at pair rate p_pair:
     1 + sig_s sig_i / (p_pair (2 + sig_s^2 + sig_i^2))."""
-    if p_pair <= 0:
+    if np.any(p_pair <= 0):
         raise ZeroDivisionError("CAR diverges as the pair rate goes to zero")
-    if sig_s <= 0 or sig_i <= 0:
+    if np.any(sig_s <= 0) or np.any(sig_i <= 0):
         raise ValueError("normalized bandwidths must be positive")
     return 1.0 + sig_s * sig_i / (p_pair * (2.0 + sig_s**2 + sig_i**2))
 
 
-def unconditional_g2(sig_s: float) -> float:
+def unconditional_g2(sig_s):
     """Second-order autocorrelation of one band alone:
     1 + 1 / sqrt(1 + sig_s^2 / 2).  2 in the single-mode (narrow) limit."""
-    if sig_s < 0:
+    if np.any(sig_s < 0):
         raise ValueError("normalized bandwidth must be nonnegative")
-    return 1.0 + 1.0 / math.sqrt(1.0 + sig_s**2 / 2.0)
+    return 1.0 + 1.0 / np.sqrt(1.0 + sig_s**2 / 2.0)
 
 
 @dataclass(frozen=True)
@@ -211,10 +214,10 @@ def heralded_g2_exact(counts: CountProbabilities) -> float:
     return counts.p123 * counts.p1 / (counts.p13 * counts.p12)
 
 
-def heralded_g2_approx(g_s2: float, car_value: float) -> float:
+def heralded_g2_approx(g_s2, car_value):
     """Approximate heralded g2 from the band autocorrelation and the CAR:
     (g_s2 / CAR) (2 - 1 / CAR)."""
-    if car_value < 1.0:
+    if np.any(car_value < 1.0):
         raise ValueError("CAR below 1 is unphysical for this model")
     return g_s2 / car_value * (2.0 - 1.0 / car_value)
 

@@ -149,3 +149,37 @@ class TestFitAndCorrect:
 
     def test_missing_data_file(self, config_path, tmp_path):
         assert run(["fit", "--data", str(tmp_path / "none.csv")]) == 1
+
+
+class TestInputBoundary:
+    """Non-finite and non-integral input is a validation error (exit 1), not
+    a model-validity failure (exit 2) and not a silent success."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("gain", "g_squared", float("nan")),
+            ("pump", "fwhm_nm", float("nan")),
+            ("fiber", "length_m", float("inf")),
+            ("pump", "rep_rate_hz", float("nan")),
+            ("detectors", "dead_time_gates", 2.7),
+        ],
+    )
+    def test_bad_config_value_exits_1(self, tmp_path, capsys, section, key, value):
+        with open("configs/demo.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        (doc[section][0] if section == "detectors" else doc[section])[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN / Infinity tokens, as json allows
+        assert run(["report", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p_ave", ["nan", "inf"])
+    def test_non_finite_power_exits_1(self, tmp_path, capsys, p_ave):
+        path = tmp_path / "records.csv"
+        rows = [",".join(pl.RECORD_COLUMNS)]
+        for power in ("0.5", p_ave, "1.5"):
+            rows.append(f"{power},1000,40,20,20,4,4,1,1,1,0")
+        path.write_text("\n".join(rows) + "\n")
+        assert run(["fit", "--data", str(path)]) == 1
+        assert "p_ave_mw" in capsys.readouterr().err

@@ -1,0 +1,38 @@
+"""Smoke tests: the experiment scripts run end to end and write their CSVs."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+
+
+def test_contour_figures(tmp_path):
+    result = _run_script("run_contour_figures.py", "--out-dir", str(tmp_path))
+    for p_pair in ("0.01", "0.02", "0.005"):
+        lines = (tmp_path / f"contour_ppair_{p_pair}.csv").read_text().splitlines()
+        assert lines[0] == "sigma_s_prime,sigma_i_prime,car,g_c2,h"
+        assert len(lines) == 1 + 59 * 59
+    strategy = (tmp_path / "strategy_sweep_ppair_0.005.csv").read_text().splitlines()
+    assert strategy[0] == "sigma_free,g_c2,h,strategy"
+    assert "better H strategy: narrow_idler" in result.stdout
+
+
+def test_oracle_comparison(tmp_path):
+    out = tmp_path / "oracle.csv"
+    result = _run_script("run_oracle_comparison.py", "--out", str(out))
+    lines = out.read_text().splitlines()
+    # 3 x 3 bandwidths, 2 gains, 6 quantities each
+    assert len(lines) == 1 + 3 * 3 * 2 * 6
+    assert max(float(line.rsplit(",", 1)[1]) for line in lines[1:]) < 1e-6
+    assert "worst relative error" in result.stdout
