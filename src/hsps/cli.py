@@ -145,6 +145,7 @@ def cmd_mc(args) -> int:
     doc = {
         "seed": args.seed,
         "pulses": args.pulses,
+        "rng_scheme": mc.RNG_SCHEME,
         "tallies": tallies.as_dict(),
         "estimates": estimates.as_dict(),
         "predictions": {
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = add("mc", cmd_mc, "Monte Carlo counting run with estimates")
     p_mc.add_argument("--pulses", type=int, required=True, help="number of pump pulses")
     p_mc.add_argument("--workers", type=int, default=1,
-                      help="chunk-generation workers (results are worker-independent)")
+                      help="accepted for compatibility; has no effect (one thread)")
     p_mc.add_argument("--source", choices=("analytic", "gaussian_oracle"), default="analytic")
     p_mc.add_argument("--raman", default=None, help="Raman/pair coefficients as s1,s2")
     p_mc.add_argument("--p-ave", type=float, default=1.0, dest="p_ave",

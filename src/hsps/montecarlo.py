@@ -1,19 +1,23 @@
 """Pulse-by-pulse simulation of the three gated detectors.
 
-The simulator draws one joint click pattern per gated pulse from an exact
-8-outcome distribution built out of the count probabilities, ORs in dark
-counts and Poissonian Raman-background clicks per detector, applies the
-dead-time veto, and tallies singles, same-slot coincidences, adjacent-slot
-accidentals and triples exactly as a counting experiment would.  Because
-the pattern distribution is exact, estimator behavior can be tested against
-known ground truth (:func:`model_predictions`).
+The simulator draws joint click patterns from an exact 8-outcome
+distribution built out of the count probabilities with dark counts and
+Poissonian Raman-background clicks folded in per detector
+(:func:`effective_pattern_probs`, the same distribution
+:func:`model_predictions` evaluates).  Most gates are empty, so it samples
+only the gates that click: geometric gaps in P(any click) give their
+indices, and each takes a pattern conditioned on a click.  It then applies
+the dead-time veto and tallies singles, same-slot coincidences,
+adjacent-slot accidentals and triples exactly as a counting experiment
+would.  Because the pattern distribution is exact, estimator behavior can be
+tested against known ground truth.
 
 Determinism contract: results depend only on (seed, chunking).  Each chunk
 derives an independent random stream from a counter-based generator keyed
-by (seed, chunk_index), so chunk generation can run on any number of
-workers without changing a single count.  Chunks are merged in index
-order; dead-time state and the adjacent-gate registers carry across the
-boundary.
+by (seed, chunk_index); chunks are consumed in index order and dead-time
+state and the adjacent-gate registers carry across the boundary.
+:data:`RNG_SCHEME` names the way the streams are turned into clicks and
+changes whenever the tallies for a given seed would.
 
 Raman background is Poissonian and sits in the idler band by default (the
 band where it is fitted and subtracted downstream); an optional signal-band
@@ -27,7 +31,6 @@ that the mean pair-produced idler photon number equals it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -36,6 +39,7 @@ from .config import SourceConfig, normalize, with_gain
 from .stats import _SQRT2_PI, CountProbabilities, full_report
 
 DEFAULT_CHUNK = 1 << 20
+RNG_SCHEME = "philox-chunk-geometric-skip-v2"
 
 
 class ModelInconsistencyError(ValueError):
@@ -129,11 +133,9 @@ class PulseModel:
     pattern_probs: np.ndarray
     raman_idler_mean: float
     raman_signal_mean: float
-    dark: tuple[float, float, float]
     extra_click_probs: tuple[float, float, float]
     gate_divisor: int
     dead_time_gates: tuple[int, int, int]
-    source_counts: CountProbabilities
 
     def marginals(self) -> tuple[float, float, float]:
         p = self.pattern_probs
@@ -228,11 +230,9 @@ def build_pulse_model(
         pattern_probs=patterns,
         raman_idler_mean=raman_idler,
         raman_signal_mean=raman_signal,
-        dark=dark,
         extra_click_probs=extra,
         gate_divisor=config.gate_divisor,
         dead_time_gates=tuple(d.dead_time_gates for d in config.detectors),
-        source_counts=counts,
     )
     # construction guarantees: distribution normalized, marginals match
     marg = model.marginals()
@@ -306,48 +306,47 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_chunk(model: PulseModel, seed: int, chunk_index: int, size: int):
-    """Raw (pre-dead-time) click arrays for one chunk; stateless."""
-    rng = _chunk_rng(seed, chunk_index)
-    cdf = np.cumsum(model.pattern_probs)
-    idx = np.searchsorted(cdf, rng.random(size), side="right")
-    d1 = (idx & 4) > 0
-    d2 = (idx & 2) > 0
-    d3 = (idx & 1) > 0
-    for det, (arr, q) in enumerate(zip((d1, d2, d3), model.extra_click_probs)):
-        if q > 0.0:
-            arr |= rng.random(size) < q
-    return d1, d2, d3
+def _draw_chunk(probs: np.ndarray, seed: int, chunk_index: int, size: int):
+    """Sorted local indices and 3-bit patterns of the gates of one chunk
+    that click at all; stateless.
 
-
-def _apply_dead_time(raw: np.ndarray, dead: int, dead_until_local: int):
-    """Greedy dead-time veto over one chunk.
-
-    Returns (effective clicks, live mask, dead_until for the next chunk in
-    local coordinates past the chunk end).  A click in a vetoed gate is
-    dropped and does not retrigger the veto.
+    Gaps between clicking gates are geometric in P(any click), so the empty
+    gates are skipped rather than drawn; each clicking gate then takes its
+    pattern from the 7 non-empty outcomes, conditioned on a click.
     """
-    m = raw.size
-    live = np.ones(m, dtype=bool)
-    if dead_until_local > 0:
-        live[: min(dead_until_local, m)] = False
-    if dead == 0:
-        eff = raw & live
-        return eff, live, max(dead_until_local - m, 0)
-    starts = []
-    ends = []
-    du = dead_until_local
-    for i in np.nonzero(raw)[0]:
-        if i < du:
-            continue
-        du = i + 1 + dead
-        starts.append(i + 1)
-        ends.append(min(du, m))
-    for s, e in zip(starts, ends):
-        if s < m:
-            live[s:e] = False
-    eff = raw & live
-    return eff, live, max(du - m, 0)
+    rng = _chunk_rng(seed, chunk_index)
+    p_any = float(probs[1:].sum())
+    if p_any == 0.0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    batch = int(size * p_any + 4.0 * math.sqrt(size * p_any)) + 16
+    parts = []
+    last = -1
+    while last < size:
+        # a gap past the chunk end ends the chunk; clipping it there keeps the
+        # cumulative sum from overflowing int64 when P(any click) is tiny
+        gaps = np.minimum(rng.geometric(p_any, batch), size + 1)
+        part = last + np.cumsum(gaps)
+        parts.append(part)
+        last = int(part[-1])
+    gates = np.concatenate(parts)
+    gates = gates[: np.searchsorted(gates, size)]
+    patterns = 1 + rng.choice(7, size=gates.size, p=probs[1:] / p_any)
+    return gates, patterns
+
+
+def _apply_dead_time(clicks: np.ndarray, dead: int, dead_until: int):
+    """Greedy dead-time veto over one detector's sorted click gates.
+
+    Returns (mask of the clicks that register, first live gate after the
+    last registered click), both in the local coordinates of clicks.  A
+    click in a vetoed gate is dropped and does not retrigger the veto.
+    """
+    keep = np.zeros(clicks.size, dtype=bool)
+    for k, gate in enumerate(clicks.tolist()):
+        if gate >= dead_until:
+            keep[k] = True
+            dead_until = gate + 1 + dead
+    return keep, dead_until
 
 
 def simulate(
@@ -361,9 +360,9 @@ def simulate(
     """Simulate n_pulses pump pulses and return the tallies.
 
     Only every gate_divisor-th pulse is gated; tallies.gates counts the
-    gated pulses.  Deterministic for fixed (seed, chunking) and independent
-    of workers; progress, when given, is called as progress(done, total)
-    after each merged chunk with pulse counts.
+    gated pulses.  Deterministic for fixed (seed, chunking); workers is
+    accepted for compatibility and has no effect.  progress, when given, is
+    called as progress(done, total) after each chunk with pulse counts.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -373,25 +372,25 @@ def simulate(
     if n_gates == 0:
         return TallyCounters(gates=0)
 
-    n_chunks = (n_gates + chunking - 1) // chunking
-    sizes = [min(chunking, n_gates - k * chunking) for k in range(n_chunks)]
-
+    probs = effective_pattern_probs(model)
     s1 = s2 = s3 = c12 = c13 = c23 = t123 = a12 = a13 = 0
-    dead = model.dead_time_gates
-    any_dead = any(d > 0 for d in dead)
     dead_until = [0, 0, 0]
     prev_click = [False, False, False]
 
-    def consume(chunk_index: int, arrays):
-        nonlocal s1, s2, s3, c12, c13, c23, t123, a12, a13
-        effs = []
-        for det, raw in enumerate(arrays):
-            if any_dead:
-                eff, _, dead_until[det] = _apply_dead_time(raw, dead[det], dead_until[det])
-            else:
-                eff = raw
-            effs.append(eff)
-        d1, d2, d3 = effs
+    for k, start in enumerate(range(0, n_gates, chunking)):
+        size = min(chunking, n_gates - start)
+        gates, patterns = _draw_chunk(probs, seed, k, size)
+        for det, dead in enumerate(model.dead_time_gates):
+            if dead == 0:
+                continue
+            bit = 4 >> det
+            hit = np.flatnonzero(patterns & bit)
+            keep, until = _apply_dead_time(gates[hit], dead, dead_until[det])
+            patterns[hit[~keep]] &= ~bit
+            dead_until[det] = max(until - size, 0)
+        d1 = (patterns & 4) > 0
+        d2 = (patterns & 2) > 0
+        d3 = (patterns & 1) > 0
         s1 += int(np.count_nonzero(d1))
         s2 += int(np.count_nonzero(d2))
         s3 += int(np.count_nonzero(d3))
@@ -401,32 +400,16 @@ def simulate(
         t123 += int(np.count_nonzero(d1 & d2 & d3))
         # accidentals pair each gate with the adjacent earlier gate of the
         # partner; a vetoed gate records no click, as in hardware
-        a12 += int(np.count_nonzero(d1[1:] & d2[:-1])) + int(d1[0] and prev_click[1])
-        a13 += int(np.count_nonzero(d1[1:] & d3[:-1])) + int(d1[0] and prev_click[2])
-        for det in range(3):
-            prev_click[det] = bool(effs[det][-1])
-
-    if workers <= 1:
-        for k in range(n_chunks):
-            consume(k, _draw_chunk(model, seed, k, sizes[k]))
-            if progress is not None:
-                progress(min((k + 1) * chunking, n_gates) * model.gate_divisor, n_pulses)
-    else:
-        # bounded submission window: chunk draws run concurrently but only a
-        # few are in flight, and merging stays in index order
-        window = 2 * workers
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = {
-                k: pool.submit(_draw_chunk, model, seed, k, sizes[k])
-                for k in range(min(window, n_chunks))
-            }
-            for k in range(n_chunks):
-                consume(k, pending.pop(k).result())
-                nxt = k + window
-                if nxt < n_chunks:
-                    pending[nxt] = pool.submit(_draw_chunk, model, seed, nxt, sizes[nxt])
-                if progress is not None:
-                    progress(min((k + 1) * chunking, n_gates) * model.gate_divisor, n_pulses)
+        adjacent = np.diff(gates) == 1
+        a12 += int(np.count_nonzero(d1[1:] & d2[:-1] & adjacent))
+        a13 += int(np.count_nonzero(d1[1:] & d3[:-1] & adjacent))
+        if gates.size and gates[0] == 0 and d1[0]:
+            a12 += prev_click[1]
+            a13 += prev_click[2]
+        at_end = gates.size > 0 and int(gates[-1]) == size - 1
+        prev_click = [at_end and bool(d[-1]) for d in (d1, d2, d3)]
+        if progress is not None:
+            progress((start + size) * model.gate_divisor, n_pulses)
 
     return TallyCounters(
         gates=n_gates,

@@ -362,7 +362,7 @@ def synthesize_power_sweep(
     s1 and s2 are photon-level coefficients (mean photons per pulse reaching
     the idler band, per mW and per mW^2); detected-count coefficients come
     out scaled by the herald path efficiency, which is what the quadratic
-    fit recovers.
+    fit recovers.  workers is accepted for compatibility and has no effect.
     """
     records = []
     for k, p_ave in enumerate(powers):

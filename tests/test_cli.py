@@ -4,6 +4,7 @@ import pytest
 
 from hsps.cli import run
 from hsps.config import config_to_dict, make_symmetric_config
+from hsps.montecarlo import RNG_SCHEME
 from hsps import pipeline as pl
 
 
@@ -106,6 +107,16 @@ class TestMc:
         run(base + ["--workers", "1", "--out", str(a)])
         run(base + ["--workers", "4", "--out", str(b)])
         assert json.loads(a.read_text())["tallies"] == json.loads(b.read_text())["tallies"]
+
+    def test_readme_example(self, tmp_path):
+        # the plain `hsps mc` line of the README: enough gates for CAR to
+        # rest on accidentals
+        out = tmp_path / "run.json"
+        assert run(["mc", "--config", "configs/demo.json", "--pulses", "4000000000",
+                    "--seed", "7", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["rng_scheme"] == RNG_SCHEME
+        assert doc["tallies"]["acc_12"] > 0
 
     def test_raman_flag(self, config_path, tmp_path):
         out = tmp_path / "mc.json"

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsps import montecarlo as mc
+from hsps.config import load_config
 from hsps.montecarlo import (
+    DEFAULT_CHUNK,
     EstimationError,
     EstimatorResult,
     ModelInconsistencyError,
@@ -155,17 +157,48 @@ class TestSimulate:
         model = build_pulse_model(config)
         return dataclasses.replace(model, extra_click_probs=(1.0, 1.0, 1.0))
 
-    def test_saturated_extra_clicks(self, symmetric):
-        tallies = simulate(self._saturated_model(symmetric), 10_000, seed=1)
+    # a chunking of 7 puts chunk boundaries inside dead-time windows and
+    # between adjacent gates; the default puts none in these short runs
+    @pytest.mark.parametrize("chunking", [7, DEFAULT_CHUNK], ids=["chunk7", "default_chunk"])
+    def test_saturated_extra_clicks(self, symmetric, chunking):
+        tallies = simulate(self._saturated_model(symmetric), 10_000, seed=1, chunking=chunking)
         assert tallies.singles_1 == tallies.gates
         assert tallies.coinc_12 == tallies.gates
         assert tallies.acc_12 == tallies.gates - 1
 
-    def test_dead_time_vetoes_following_gates(self, symmetric):
-        tallies = simulate(self._saturated_model(symmetric, dead=3), 12_000, seed=1)
+    @pytest.mark.parametrize("chunking", [7, DEFAULT_CHUNK], ids=["chunk7", "default_chunk"])
+    def test_dead_time_vetoes_following_gates(self, symmetric, chunking):
+        tallies = simulate(self._saturated_model(symmetric, dead=3), 12_000, seed=1,
+                           chunking=chunking)
         # every click vetoes the next 3 gates: one click per 4 gates
         assert tallies.singles_1 == tallies.gates // 4
         assert tallies.acc_12 == 0  # partner always vetoed on the adjacent gate
+
+    @pytest.mark.parametrize("g2", [0.0, 1e-22])
+    def test_vanishing_click_probability_terminates(self, symmetric, g2):
+        # at P(any click) ~ 1e-23 the geometric gaps saturate at the int64
+        # maximum, so an unclipped running sum of them would overflow
+        model = build_pulse_model(symmetric(1.0, 1.0, g2, det_efficiencies=EFF))
+        assert effective_pattern_probs(model)[1:].sum() < 1e-20
+        tallies = simulate(model, 3_000_000, seed=4, chunking=1 << 16)
+        assert tallies == TallyCounters(gates=3_000_000)
+
+    def test_dead_time_singles_follow_renewal_theory(self):
+        # detector 1 clicks independently in each gate with probability p;
+        # a registered click starts a dead window of d gates, so registered
+        # clicks form a renewal process with cycle L = d + Geometric(p)
+        config = load_config("configs/demo.json")
+        model = build_pulse_model(config)
+        tallies = simulate(model, 400_000_000, seed=12)
+        p = float(effective_pattern_probs(model)[4:].sum())
+        d = config.detectors[0].dead_time_gates
+        n = tallies.gates
+        mean_cycle = d + 1.0 / p
+        var_cycle = (1.0 - p) / p**2
+        expected = n * p / (1.0 + d * p)
+        sigma = math.sqrt(n * var_cycle / mean_cycle**3)
+        assert (d, n) == (26, 25_000_000)
+        assert abs(tallies.singles_1 - expected) < 4.0 * sigma
 
     def test_dead_time_state_crosses_chunks(self, symmetric):
         config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF, dead_time_gates=7)

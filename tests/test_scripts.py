@@ -36,3 +36,15 @@ def test_oracle_comparison(tmp_path):
     assert len(lines) == 1 + 3 * 3 * 2 * 6
     assert max(float(line.rsplit(",", 1)[1]) for line in lines[1:]) < 1e-6
     assert "worst relative error" in result.stdout
+
+
+def test_synthetic_experiment(tmp_path):
+    result = _run_script("run_synthetic_experiment.py", "--out-dir", str(tmp_path))
+    for label in ("F_narrow_narrow", "F_wide_narrow", "F_wide_wide"):
+        records = (tmp_path / f"records_{label}.csv").read_text().splitlines()
+        assert records[0].startswith("p_ave_mw,gates,")
+        assert len(records) == 1 + 5
+        corrected = (tmp_path / f"corrected_{label}.csv").read_text().splitlines()
+        assert corrected[0].startswith("p_ave_mw,p_pair,car,")
+        assert len(corrected) == 1 + 5
+        assert f"{label}: fit s1=" in result.stdout
