@@ -49,7 +49,15 @@ def fwhm_nm_to_sigma(fwhm_nm: float, center_nm: float) -> float:
     """
     if fwhm_nm <= 0 or center_nm <= 0:
         raise ConfigError("fwhm and center wavelength must be positive")
-    return TWO_PI_C_NM * fwhm_nm / center_nm**2 / GAUSSIAN_FWHM_FACTOR
+    try:
+        sigma = TWO_PI_C_NM * fwhm_nm / center_nm**2 / GAUSSIAN_FWHM_FACTOR
+    except (OverflowError, ZeroDivisionError):  # center_nm**2 out of double range
+        sigma = 0.0
+    if not 0.0 < sigma < math.inf:
+        raise ConfigError(
+            f"fwhm_nm {fwhm_nm} at center_nm {center_nm} gives no finite positive bandwidth"
+        )
+    return sigma
 
 
 def sigma_to_fwhm_nm(sigma: float, center_nm: float) -> float:
@@ -355,7 +363,7 @@ def _number(mapping: dict, key: str, where: str, default: float | None = None) -
     value = _require(mapping, key, where) if default is None else mapping.get(key, default)
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")

@@ -10,9 +10,10 @@ Two independent machines live here:
 * a Gaussian-state click engine (:func:`gaussian_click_probs`) that builds
   the full multimode squeezed state from the SVD of the discretized pair
   kernel, applies the dual-band filter and detector efficiencies as
-  frequency-diagonal losses and the 50/50 coupler as a unitary on a doubled
-  signal mode set, and obtains threshold-detector click probabilities from
-  vacuum-probability determinants by inclusion-exclusion.
+  frequency-diagonal losses, folds the 50/50 coupler (vacuum in its second
+  port) into the signal-band loss seen by each set of arm detectors, and
+  obtains threshold-detector click probabilities from vacuum-probability
+  determinants, one Cholesky factorization each, by inclusion-exclusion.
 
 In ``low_gain`` mode the click engine returns the leading-order count
 probabilities computed through the state route, the same currency as
@@ -216,8 +217,9 @@ def _counts_from_matrices(config: SourceConfig, mats: CorrelationMatrices) -> Co
     t13 = 0.5 * e1 * e3 * cross_sq
 
     bunch23 = 0.25 * e2 * e3 * float(np.sum(a_s * a_s)) * ds * ds
-    # triple contraction of the cross kernel with the signal number kernel
-    w4 = 0.5 * e1 * e2 * e3 * float(np.einsum("kl,ml,km->", c, c, a_s)) * ds * ds * di
+    # triple contraction sum_klm c_kl c_ml a_s[k, m] of the cross kernel
+    # with the signal number kernel
+    w4 = 0.5 * e1 * e2 * e3 * float(np.sum((c @ c.T) * a_s)) * ds * ds * di
     return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
 
 
@@ -315,15 +317,16 @@ def _low_gain_counts(R: np.ndarray, t1: np.ndarray, t2b: np.ndarray, t3b: np.nda
     t2 = 0.5 * t2b
     t3 = 0.5 * t3b
     n_s = R @ R.T
-    n_i = R.T @ R
-    p1 = float(t1 @ np.diag(n_i))
-    p2 = float(t2 @ np.diag(n_s))
-    p3 = float(t3 @ np.diag(n_s))
     pair = R * R  # |pair amplitude|^2 per mode pair
+    # the diagonals of N_i and N_s are the column and row sums of pair
+    p1 = float(pair.sum(axis=0) @ t1)
+    p2 = float(t2 @ pair.sum(axis=1))
+    p3 = float(t3 @ pair.sum(axis=1))
     t12 = float(t2 @ pair @ t1)
     t13 = float(t3 @ pair @ t1)
     bunch23 = float(t2 @ (n_s * n_s) @ t3)
-    w4 = 2.0 * float(np.einsum("k,m,l,kl,ml,km->", t2, t3, t1, R, R, n_s))
+    # sum_klm t2_k t3_m t1_l R_kl R_ml N_s[k, m]
+    w4 = 2.0 * float(t2 @ (((R * t1) @ R.T) * n_s) @ t3)
     return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
 
 
@@ -344,55 +347,27 @@ def click_probs_from_pair_kernel(
     t2_band = np.atleast_1d(np.asarray(t2_band, dtype=float))
     t3_band = np.atleast_1d(np.asarray(t3_band, dtype=float))
     ns, ni = R.shape
-    U, lam, Vt = np.linalg.svd(R)
-    V = Vt.T
+    n_tot = ns + ni
+    U, lam, Vt = np.linalg.svd(R, full_matrices=False)
 
-    lam_s = np.zeros(ns)
-    lam_s[: lam.size] = lam
-    lam_i = np.zeros(ni)
-    lam_i[: lam.size] = lam
-    ch_s = np.cosh(2.0 * lam_s)
-    ch_i = np.cosh(2.0 * lam_i)
-    sh = np.sinh(2.0 * lam)
-
-    c_s = (U * ch_s) @ U.T                     # signal x-x block, vacuum units of 1
-    c_i = (V * ch_i) @ V.T
-    sh_rect = np.zeros((ns, ni))
-    sh_rect[np.diag_indices(lam.size)] = sh
-    s_si = U @ sh_rect @ V.T
-
-    # modes: [arm2 (ns), arm3 (ns), idler (ni)]; coupler mixes the signal
-    # band with a vacuum port, so each arm holds half the band variance.
-    n_tot = 2 * ns + ni
-    vxx = np.zeros((n_tot, n_tot))
-    eye_s = np.eye(ns)
-    v22 = 0.25 * c_s + 0.25 * eye_s
-    v23 = 0.25 * c_s - 0.25 * eye_s
-    v2i = s_si / (2.0 * np.sqrt(2.0))
-    vxx[:ns, :ns] = v22
-    vxx[ns:2 * ns, ns:2 * ns] = v22
-    vxx[:ns, ns:2 * ns] = v23
-    vxx[ns:2 * ns, :ns] = v23.T
-    vxx[:ns, 2 * ns:] = v2i
-    vxx[2 * ns:, :ns] = v2i.T
-    vxx[ns:2 * ns, 2 * ns:] = v2i
-    vxx[2 * ns:, ns:2 * ns] = v2i.T
-    vxx[2 * ns:, 2 * ns:] = 0.5 * c_i
-
-    vpp = vxx.copy()
-    vpp[: 2 * ns, 2 * ns:] *= -1.0
-    vpp[2 * ns:, : 2 * ns] *= -1.0
-
-    # frequency-diagonal loss on every mode; the coupler split is in the
-    # unitary above, so the band transmissions enter unhalved
-    t = np.concatenate([np.asarray(t2_band), np.asarray(t3_band), np.asarray(t1)])
-    d = np.sqrt(t)
-    vac = np.diag(1.0 - t) / 2.0
-    vxx = d[:, None] * vxx * d[None, :] + vac
-    vpp = d[:, None] * vpp * d[None, :] + vac
+    # modes: [signal (ns), idler (ni)].  X = Vxx - I/2 is the excess
+    # x-quadrature covariance (vacuum variance 1/2), built from sinh so that
+    # no cosh - 1 cancels; the p block is S Vxx S with S = +1 on the signal
+    # and -1 on the idler modes.
+    sh2 = np.sinh(lam) ** 2
+    X = np.empty((n_tot, n_tot))
+    X[:ns, :ns] = (U * sh2) @ U.T
+    X[ns:, ns:] = (Vt.T * sh2) @ Vt
+    X[:ns, ns:] = 0.5 * (U * np.sinh(2.0 * lam)) @ Vt
+    X[ns:, :ns] = X[:ns, ns:].T
 
     if symplectic_check:
-        # symplectic spectrum of the xx/pp-factored state: sqrt(eig(4 Vxx Vpp))
+        # symplectic spectrum of the lossless state, sqrt(eig(4 Vxx Vpp));
+        # every covariance below is a loss channel applied to this state,
+        # and loss keeps a physical state physical
+        vxx = X + 0.5 * np.eye(n_tot)
+        sign = np.concatenate([np.ones(ns), -np.ones(ni)])
+        vpp = sign[:, None] * vxx * sign[None, :]
         chol = np.linalg.cholesky(vpp + 1e-14 * np.eye(n_tot))
         sym_sq = np.linalg.eigvalsh(chol.T @ vxx @ chol)
         nu_min = 2.0 * np.sqrt(max(float(np.min(sym_sq)), 0.0))
@@ -401,21 +376,32 @@ def click_probs_from_pair_kernel(
                 f"minimum symplectic eigenvalue {nu_min:.12f} < 1: covariance unphysical"
             )
 
-    sets = {
-        1: np.arange(2 * ns, n_tot),
-        2: np.arange(0, ns),
-        3: np.arange(ns, 2 * ns),
-    }
+    arm_bands = {2: t2_band, 3: t3_band}
 
     def vac_prob(*labels) -> float:
-        idx = np.concatenate([sets[lbl] for lbl in labels])
-        m = idx.size
-        eye = np.eye(m) / 2.0
-        sign_a, logdet_a = np.linalg.slogdet(vxx[np.ix_(idx, idx)] + eye)
-        sign_b, logdet_b = np.linalg.slogdet(vpp[np.ix_(idx, idx)] + eye)
-        if sign_a <= 0 or sign_b <= 0:
-            raise OracleConditioningError("non-positive determinant in vacuum probability")
-        return float(np.exp(-0.5 * (logdet_a + logdet_b)))
+        """Probability of no click on any detector in labels.
+
+        The 50/50 coupler mixes the signal band with a vacuum port, so no
+        click on a set of arms equals no click on the signal band seen at
+        the summed halved arm transmissions.  After the loss D = diag(sqrt t)
+        the x and p blocks share the determinant det(I + D X D), so the
+        vacuum probability is its inverse; modes with t = 0 drop out.
+        """
+        t = np.zeros(n_tot)
+        t[:ns] = 0.5 * sum(arm_bands[lbl] for lbl in labels if lbl in arm_bands)
+        if 1 in labels:
+            t[ns:] = t1
+        idx = np.flatnonzero(t)
+        d = np.sqrt(t[idx])
+        m = d[:, None] * X[np.ix_(idx, idx)] * d[None, :]
+        m[np.diag_indices(idx.size)] += 1.0
+        try:
+            chol = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError as exc:
+            raise OracleConditioningError(
+                "vacuum-probability matrix is not positive definite"
+            ) from exc
+        return float(np.exp(-2.0 * np.sum(np.log(np.diag(chol)))))
 
     q1, q2, q3 = vac_prob(1), vac_prob(2), vac_prob(3)
     q12, q13, q23 = vac_prob(1, 2), vac_prob(1, 3), vac_prob(2, 3)

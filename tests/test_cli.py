@@ -185,6 +185,17 @@ class TestInputBoundary:
         assert run(["report", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, value", [("filters", 1e-320), ("pump", 1e200)])
+    def test_extreme_wavelength_exits_1(self, tmp_path, capsys, section, value):
+        # 1e-320 nm squared underflows to zero; 1e200 nm squared overflows
+        with open("configs/demo.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        (doc[section]["idler"] if section == "filters" else doc[section])["center_nm"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["report", "--config", str(path)]) == 1
+        assert "hsps: error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("p_ave", ["nan", "inf"])
     def test_non_finite_power_exits_1(self, tmp_path, capsys, p_ave):
         path = tmp_path / "records.csv"

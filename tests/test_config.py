@@ -27,6 +27,22 @@ from hsps.config import (
 C_NM_PER_S = 2.99792458e17
 
 
+def _demo_doc() -> dict:
+    with open("configs/demo.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _numeric_paths(node, prefix=()) -> list[tuple]:
+    """Key paths of every number in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [prefix] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [path for key, child in items for path in _numeric_paths(child, prefix + (key,))]
+
+
 class TestConversions:
     def test_hand_computed_value(self):
         # independent route: delta_omega_fwhm = 2 pi c dl / l^2, sigma = fwhm / 2.3548
@@ -164,3 +180,40 @@ class TestJsonBoundary:
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("filters", "center_nm", 1e-320),  # center_nm**2 underflows to 0
+            ("pump", "center_nm", 1e200),  # center_nm**2 overflows
+            ("gain", "g_squared", 10**400),  # a JSON integer no float holds
+        ],
+    )
+    def test_out_of_range_number_is_a_config_error(self, section, key, value):
+        doc = _demo_doc()
+        (doc[section]["signal"] if section == "filters" else doc[section])[key] = value
+        with pytest.raises(ConfigError):
+            config_from_dict(doc)
+
+    @given(
+        path=st.sampled_from(_numeric_paths(_demo_doc())),
+        value=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([5e-324, 1e-320, 1e-300, 1e200, 1.7e308, -0.0]),
+            st.integers(),
+            st.none(),
+            st.text(max_size=8),
+            st.booleans(),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_numeric_field_loads_or_raises_config_error(self, path, value):
+        doc = _demo_doc()
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        try:
+            config_from_dict(doc)
+        except ConfigError:
+            pass

@@ -16,7 +16,9 @@ from hsps.modes import (
     write_mode_report_json,
     write_strategy_csv,
 )
+from hsps.config import load_config
 from hsps.oracle import make_default_grids
+from hsps.spectral import filter_amplitude
 from hsps.stats import unconditional_g2
 
 
@@ -91,6 +93,20 @@ class TestMarginalModeNumber:
     def test_rejects_unknown_band(self, symmetric):
         with pytest.raises(ValueError):
             marginal_mode_number(symmetric(), "pump")
+
+    @pytest.mark.parametrize("band, index", [("signal", 0), ("idler", 1)])
+    def test_matches_eigenvalue_form_on_demo(self, band, index):
+        # (sum mu)^2 / sum mu^2 over the clipped kernel spectrum
+        config = load_config("configs/demo.json")
+        filt = config.signal_filter if band == "signal" else config.idler_filter
+        w = make_default_grids(config)[index].points()
+        f = filter_amplitude(w, filt)
+        kernel = np.outer(f, f) * np.exp(
+            -np.subtract.outer(w, w) ** 2 / (8.0 * config.pump.bandwidth_sigma**2)
+        )
+        mu = np.clip(np.linalg.eigvalsh(kernel), 0.0, None)
+        expected = mu.sum() ** 2 / np.sum(mu**2)
+        assert marginal_mode_number(config, band) == pytest.approx(expected, rel=1e-12)
 
 
 class TestModeReport:

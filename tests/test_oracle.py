@@ -162,11 +162,55 @@ class TestGaussianClickEngine:
     @pytest.mark.parametrize("r", [0.05, 0.4, 1.1])
     @pytest.mark.parametrize("eta", [0.2, 1.0])
     def test_single_mode_squeezed_vacuum(self, r, eta):
-        # one-point kernel: herald click probability of a lossy TMSV
+        # one-point kernel: a lossy TMSV whose signal mode is split by the
+        # coupler into arms of unequal transmission
+        t2, t3 = 0.3, 0.7
         counts = click_probs_from_pair_kernel(
-            np.array([[r]]), np.array([eta]), np.array([0.3]), np.array([0.3])
+            np.array([[r]]), np.array([eta]), np.array([t2]), np.array([t3])
         )
         assert counts.p1 == pytest.approx(1.0 - 1.0 / (1.0 + eta * math.sinh(r) ** 2), rel=1e-12)
+
+        n_bar = math.sinh(r) ** 2
+
+        def q(*labels):
+            # no click anywhere in the set: each arm sees half its band
+            # transmission, and the arms add on the one signal mode
+            tau_s = sum(t / 2.0 for lbl, t in ((2, t2), (3, t3)) if lbl in labels)
+            tau_i = eta if 1 in labels else 0.0
+            return 1.0 / (1.0 + n_bar * (tau_s + tau_i - tau_s * tau_i))
+
+        expected = {
+            "p1": 1.0 - q(1),
+            "p2": 1.0 - q(2),
+            "p3": 1.0 - q(3),
+            "p12": 1.0 - q(1) - q(2) + q(1, 2),
+            "p13": 1.0 - q(1) - q(3) + q(1, 3),
+            "p23": 1.0 - q(2) - q(3) + q(2, 3),
+            "p123": 1.0 - q(1) - q(2) - q(3) + q(1, 2) + q(1, 3) + q(2, 3) - q(1, 2, 3),
+        }
+        tolerances = {"p1": 1e-11, "p2": 1e-11, "p3": 1e-11,
+                      "p12": 1e-10, "p13": 1e-10, "p23": 1e-8, "p123": 1e-8}
+        for field, value in expected.items():
+            assert getattr(counts, field) == pytest.approx(value, rel=tolerances[field]), field
+
+    def test_padding_with_empty_modes_changes_nothing(self):
+        # zero-amplitude signal rows and idler columns hold vacuum, so no
+        # transmission given to them can move a click probability
+        rng = np.random.default_rng(3)
+        R = 0.2 * rng.standard_normal((6, 5))
+        t1, t2b, t3b = (rng.uniform(0.1, 0.9, n) for n in (5, 6, 6))
+        padded = np.zeros((9, 6))
+        padded[:6, :5] = R
+        pad1, pad2, pad3 = (rng.uniform(0.1, 0.9, n) for n in (1, 3, 3))
+        base = click_probs_from_pair_kernel(R, t1, t2b, t3b)
+        wide = click_probs_from_pair_kernel(
+            padded,
+            np.concatenate([t1, pad1]),
+            np.concatenate([t2b, pad2]),
+            np.concatenate([t3b, pad3]),
+        )
+        for field in ("p1", "p2", "p3", "p12", "p13", "p23", "p123"):
+            assert rel_err(getattr(wide, field), getattr(base, field)) < 1e-9, field
 
     def test_low_gain_agrees_with_quadrature(self, symmetric):
         for sig_s, sig_i in [(1.0, 1.0), (2.0, 0.3)]:
@@ -206,6 +250,59 @@ class TestGaussianClickEngine:
         counts = gaussian_click_probs(config, order="low_gain")
         assert clicks.p123 < counts.p123
         assert clicks.p23 > clicks.p123
+
+
+class TestContractionsMatchEinsumReference:
+    """The BLAS contractions against the plain index sums they replace, on
+    small non-square matrices."""
+
+    def test_quadrature_contraction(self, symmetric):
+        rng = np.random.default_rng(5)
+        c = 0.1 * rng.standard_normal((7, 4))
+        a_s = 0.1 * rng.standard_normal((7, 7))
+        a_s = a_s @ a_s.T
+        a_i = 0.1 * rng.standard_normal((4, 4))
+        a_i = a_i @ a_i.T
+        ds, di = 0.3, 0.2
+        mats = oracle.CorrelationMatrices(a_s, a_i, c, spacing_s=ds, spacing_i=di)
+        counts = oracle._counts_from_matrices(symmetric(det_efficiencies=EFF), mats)
+        e1, e2, e3 = EFF
+        p1 = e1 * np.trace(a_i) * di
+        p2 = 0.5 * e2 * np.trace(a_s) * ds
+        p3 = 0.5 * e3 * np.trace(a_s) * ds
+        cross_sq = np.sum(c * c) * ds * di
+        bunch23 = 0.25 * e2 * e3 * np.sum(a_s * a_s) * ds * ds
+        w4 = 0.5 * e1 * e2 * e3 * np.einsum("kl,ml,km->", c, c, a_s) * ds * ds * di
+        expected = dict(
+            p1=p1, p2=p2, p3=p3,
+            p12=p1 * p2 + 0.5 * e1 * e2 * cross_sq,
+            p13=p1 * p3 + 0.5 * e1 * e3 * cross_sq,
+            p23=p2 * p3 + bunch23,
+            p123_bunching=p1 * bunch23 + w4,
+        )
+        for field, value in expected.items():
+            assert getattr(counts, field) == pytest.approx(value, rel=1e-12), field
+
+    def test_low_gain_contraction(self):
+        rng = np.random.default_rng(6)
+        R = 0.1 * rng.standard_normal((7, 4))
+        t1, t2b, t3b = (rng.uniform(0.1, 0.9, n) for n in (4, 7, 7))
+        counts = oracle._low_gain_counts(R, t1, t2b, t3b)
+        t2, t3 = 0.5 * t2b, 0.5 * t3b
+        n_s = R @ R.T
+        expected = dict(
+            p1=t1 @ np.diag(R.T @ R),
+            p2=t2 @ np.diag(n_s),
+            p3=t3 @ np.diag(n_s),
+        )
+        bunch23 = t2 @ (n_s * n_s) @ t3
+        w4 = 2.0 * np.einsum("k,m,l,kl,ml,km->", t2, t3, t1, R, R, n_s)
+        expected["p12"] = expected["p1"] * expected["p2"] + t2 @ (R * R) @ t1
+        expected["p13"] = expected["p1"] * expected["p3"] + t3 @ (R * R) @ t1
+        expected["p23"] = expected["p2"] * expected["p3"] + bunch23
+        expected["p123_bunching"] = expected["p1"] * bunch23 + w4
+        for field, value in expected.items():
+            assert getattr(counts, field) == pytest.approx(value, rel=1e-12), field
 
 
 class TestComparisonReport:
