@@ -336,18 +336,22 @@ def make_symmetric_config(
 
 
 # ---------------------------------------------------------------------------
-# JSON boundary.  Schema (all keys required unless noted):
+# JSON boundary.  Schema (keys in [brackets] are optional and default to
+# the dataclass defaults; a key that is present is validated either way):
 #
 # {
-#   "pump":   {"center_nm", "fwhm_nm", "peak_power_w", "rep_rate_hz"},
-#   "fiber":  {"length_m", "gamma_per_w_km", "transmission"},
+#   "pump":   {"center_nm", "fwhm_nm", ["peak_power_w"], ["rep_rate_hz"]},
+#   "fiber":  {["length_m"], ["gamma_per_w_km"], ["transmission"]},
 #   "gain":   {"g_squared"},
-#   "filters": {"signal": {"center_nm", "fwhm_nm", "transmission"},
-#               "idler":  {"center_nm", "fwhm_nm", "transmission"}},
-#   "detectors": [ {"efficiency", "dark_count_prob", "gate_divisor",
-#                   "dead_time_gates", "gate_width_ns"} x3 ],
-#   "channels": {"signal_extra", "idler_extra"}          (optional)
+#   "filters": {"signal": {"center_nm", "fwhm_nm", ["transmission"]},
+#               "idler":  {"center_nm", "fwhm_nm", ["transmission"]}},
+#   "detectors": [ {"efficiency", ["dark_count_prob"], ["gate_divisor"],
+#                   ["dead_time_gates"], ["gate_width_ns"]} x3 ],
+#   ["channels": {["signal_extra"], ["idler_extra"]}]
 # }
+#
+# Fiber length and gamma, peak power, repetition rate and gate width are
+# informational: no formula reads them.
 # ---------------------------------------------------------------------------
 
 
@@ -397,8 +401,10 @@ def config_from_dict(doc: dict) -> SourceConfig:
     )
     fiber_d = _require(doc, "fiber", "config")
     fiber = FiberSpec(
-        length=_number(fiber_d, "length_m", "fiber"),
-        nonlinear_coefficient=_number(fiber_d, "gamma_per_w_km", "fiber"),
+        length=_number(fiber_d, "length_m", "fiber", FiberSpec.length),
+        nonlinear_coefficient=_number(
+            fiber_d, "gamma_per_w_km", "fiber", FiberSpec.nonlinear_coefficient
+        ),
         transmission=_number(fiber_d, "transmission", "fiber", 1.0),
     )
     gain = GainParameter(_number(_require(doc, "gain", "config"), "g_squared", "gain"))

@@ -17,12 +17,11 @@ K_eff stays below a threshold (1.05 by default, i.e. g2 above 1.95).
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .config import SourceConfig, normalize
+from .config import SourceConfig
 from .oracle import FrequencyGrid, make_default_grids
 from .spectral import filter_amplitude, pump_envelope
 from .stats import (
@@ -125,20 +124,14 @@ def marginal_mode_number(
     return float(np.trace(kernel) ** 2 / np.sum(kernel * kernel))
 
 
-def mode_report(
-    config: SourceConfig,
-    grid_s: FrequencyGrid | None = None,
-    grid_i: FrequencyGrid | None = None,
-    threshold: float = SINGLE_MODE_K_MAX,
-) -> ModeReport:
-    """Full mode-structure report for one configuration.
+def mode_report(config: SourceConfig, threshold: float = SINGLE_MODE_K_MAX) -> ModeReport:
+    """Full mode-structure report for one configuration, on the default grids.
 
     The heralded-state purity is 1/K of the filtered joint amplitude (the
     idler trace of F), a heuristic figure: it assumes the herald projects
     onto the filtered idler modes.
     """
-    jsa = filtered_jsa(config, grid_s, grid_i)
-    decomposition = schmidt(jsa)
+    decomposition = schmidt(filtered_jsa(config))
     k_signal = marginal_mode_number(config, "signal")
     k_idler = marginal_mode_number(config, "idler")
     return ModeReport(
@@ -215,12 +208,6 @@ def indistinguishability_report(
         better_g2_strategy=better_g2,
         better_h_strategy=better_h,
     )
-
-
-def write_mode_report_json(report: ModeReport, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_strategy_csv(report: IndistinguishabilityReport, path):

@@ -19,9 +19,8 @@ state and the adjacent-gate registers carry across the boundary.
 :data:`RNG_SCHEME` names the way the streams are turned into clicks and
 changes whenever the tallies for a given seed would.
 
-Raman background is Poissonian and sits in the idler band by default (the
-band where it is fitted and subtracted downstream); an optional signal-band
-mean is available since broadband filters admit more of it.  When a
+Raman background is Poissonian and sits in the idler band, where it is
+fitted and subtracted downstream.  When a
 ``raman=(s1, s2, p_ave)`` triple is given, the model is power-driven: the
 linear part s1 * p_ave is the mean Raman photon number reaching the idler
 band per pulse and the quadratic part s2 * p_ave^2 sets the pair gain so
@@ -83,13 +82,6 @@ class TallyCounters:
         if max(self.singles_1, self.singles_2, self.singles_3) > self.gates:
             raise ValueError("singles exceed the number of gates")
 
-    def __add__(self, other: "TallyCounters") -> "TallyCounters":
-        if not isinstance(other, TallyCounters):
-            return NotImplemented
-        return TallyCounters(
-            *(getattr(self, f) + getattr(other, f) for f in self.__dataclass_fields__)
-        )
-
     def as_dict(self) -> dict:
         return asdict(self)
 
@@ -132,7 +124,6 @@ class PulseModel:
 
     pattern_probs: np.ndarray
     raman_idler_mean: float
-    raman_signal_mean: float
     extra_click_probs: tuple[float, float, float]
     gate_divisor: int
     dead_time_gates: tuple[int, int, int]
@@ -182,7 +173,6 @@ def build_pulse_model(
     config: SourceConfig,
     source: str = "analytic",
     raman: tuple[float, float, float] | None = None,
-    raman_signal_fraction: float = 0.0,
 ) -> PulseModel:
     """Construct the per-pulse model from a configuration.
 
@@ -192,17 +182,14 @@ def build_pulse_model(
 
     raman, when given, is (s1, s2, p_ave): mean Raman photons per pulse in
     the idler band s1 * p_ave, pair gain set from s2 * p_ave^2 (the
-    configured |G|^2 is ignored).  raman_signal_fraction routes that
-    fraction of the Raman mean into the signal band as well.
+    configured |G|^2 is ignored).
     """
     raman_idler = 0.0
-    raman_signal = 0.0
     if raman is not None:
         s1, s2, p_ave = raman
         bands = normalize(config)
         config = with_gain(config, gain_for_power(s2, p_ave, bands.sigma_i_prime))
         raman_idler = s1 * p_ave
-        raman_signal = raman_signal_fraction * s1 * p_ave
 
     if source == "analytic":
         counts, _ = full_report(config)
@@ -215,21 +202,16 @@ def build_pulse_model(
 
     patterns = pattern_probabilities(counts)
 
-    eta_s = config.signal_channel_transmission
-    eta_i = config.idler_channel_transmission
-    e1, e2, e3 = (d.efficiency for d in config.detectors)
-    q_raman = (
-        1.0 - math.exp(-eta_i * e1 * raman_idler),
-        1.0 - math.exp(-0.5 * eta_s * e2 * raman_signal),
-        1.0 - math.exp(-0.5 * eta_s * e3 * raman_signal),
-    )
+    e1 = config.detectors[0].efficiency
+    # the signal arms see no Raman light; their extra click stays the OR
+    # 1 - (1 - dark) * (1 - 0.0), which can differ from dark in its last bit
+    q_raman = (1.0 - math.exp(-config.idler_channel_transmission * e1 * raman_idler), 0.0, 0.0)
     dark = tuple(d.dark_count_prob for d in config.detectors)
     extra = tuple(1.0 - (1.0 - dk) * (1.0 - qr) for dk, qr in zip(dark, q_raman))
 
     model = PulseModel(
         pattern_probs=patterns,
         raman_idler_mean=raman_idler,
-        raman_signal_mean=raman_signal,
         extra_click_probs=extra,
         gate_divisor=config.gate_divisor,
         dead_time_gates=tuple(d.dead_time_gates for d in config.detectors),
@@ -354,15 +336,14 @@ def simulate(
     n_pulses: int,
     seed: int,
     chunking: int = DEFAULT_CHUNK,
-    workers: int = 1,
     progress=None,
 ) -> TallyCounters:
     """Simulate n_pulses pump pulses and return the tallies.
 
     Only every gate_divisor-th pulse is gated; tallies.gates counts the
-    gated pulses.  Deterministic for fixed (seed, chunking); workers is
-    accepted for compatibility and has no effect.  progress, when given, is
-    called as progress(done, total) after each chunk with pulse counts.
+    gated pulses.  Deterministic for fixed (seed, chunking) and run on one
+    thread.  progress, when given, is called as progress(done, total) after
+    each chunk with pulse counts.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")

@@ -91,8 +91,9 @@ class FrequencyGrid:
                 stacklevel=2,
             )
 
-    def refined(self, factor: int = 2) -> "FrequencyGrid":
-        return FrequencyGrid(self.band_center, self.half_width, factor * self.n_points)
+    def refined(self) -> "FrequencyGrid":
+        """The same band at twice the points."""
+        return FrequencyGrid(self.band_center, self.half_width, 2 * self.n_points)
 
 
 def make_default_grids(config: SourceConfig, n_points: int = DEFAULT_POINTS):
@@ -335,7 +336,6 @@ def click_probs_from_pair_kernel(
     t1: np.ndarray,
     t2_band: np.ndarray,
     t3_band: np.ndarray,
-    symplectic_check: bool = True,
 ) -> CountProbabilities:
     """Threshold click probabilities for the squeezed state exp(sum R a+ b+ - h.c.).
 
@@ -361,20 +361,19 @@ def click_probs_from_pair_kernel(
     X[:ns, ns:] = 0.5 * (U * np.sinh(2.0 * lam)) @ Vt
     X[ns:, :ns] = X[:ns, ns:].T
 
-    if symplectic_check:
-        # symplectic spectrum of the lossless state, sqrt(eig(4 Vxx Vpp));
-        # every covariance below is a loss channel applied to this state,
-        # and loss keeps a physical state physical
-        vxx = X + 0.5 * np.eye(n_tot)
-        sign = np.concatenate([np.ones(ns), -np.ones(ni)])
-        vpp = sign[:, None] * vxx * sign[None, :]
-        chol = np.linalg.cholesky(vpp + 1e-14 * np.eye(n_tot))
-        sym_sq = np.linalg.eigvalsh(chol.T @ vxx @ chol)
-        nu_min = 2.0 * np.sqrt(max(float(np.min(sym_sq)), 0.0))
-        if nu_min < 1.0 - 1e-9:
-            raise OracleConditioningError(
-                f"minimum symplectic eigenvalue {nu_min:.12f} < 1: covariance unphysical"
-            )
+    # symplectic spectrum of the lossless state, sqrt(eig(4 Vxx Vpp));
+    # every covariance below is a loss channel applied to this state, and
+    # loss keeps a physical state physical
+    vxx = X + 0.5 * np.eye(n_tot)
+    sign = np.concatenate([np.ones(ns), -np.ones(ni)])
+    vpp = sign[:, None] * vxx * sign[None, :]
+    chol = np.linalg.cholesky(vpp + 1e-14 * np.eye(n_tot))
+    sym_sq = np.linalg.eigvalsh(chol.T @ vxx @ chol)
+    nu_min = 2.0 * np.sqrt(max(float(np.min(sym_sq)), 0.0))
+    if nu_min < 1.0 - 1e-9:
+        raise OracleConditioningError(
+            f"minimum symplectic eigenvalue {nu_min:.12f} < 1: covariance unphysical"
+        )
 
     arm_bands = {2: t2_band, 3: t3_band}
 

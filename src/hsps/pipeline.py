@@ -354,7 +354,6 @@ def synthesize_power_sweep(
     pulses_per_point: int,
     seed: int,
     config_id: str = "synthetic",
-    raman_signal_fraction: float = 0.0,
     workers: int = 1,
 ) -> list[PowerPointRecord]:
     """Simulated power sweep with Raman background on, one record per power.
@@ -362,15 +361,13 @@ def synthesize_power_sweep(
     s1 and s2 are photon-level coefficients (mean photons per pulse reaching
     the idler band, per mW and per mW^2); detected-count coefficients come
     out scaled by the herald path efficiency, which is what the quadratic
-    fit recovers.  workers is accepted for compatibility and has no effect.
+    fit recovers.  The simulation runs on one thread; workers has no effect
+    and is kept only because the benchmark's sweep_reduce workload passes it.
     """
     records = []
     for k, p_ave in enumerate(powers):
-        model = build_pulse_model(
-            config, source="analytic", raman=(s1, s2, float(p_ave)),
-            raman_signal_fraction=raman_signal_fraction,
-        )
-        tallies = simulate(model, pulses_per_point, seed=seed + 7919 * k, workers=workers)
+        model = build_pulse_model(config, source="analytic", raman=(s1, s2, float(p_ave)))
+        tallies = simulate(model, pulses_per_point, seed=seed + 7919 * k)
         records.append(
             PowerPointRecord(
                 p_ave=float(p_ave), tallies=tallies, gates=tallies.gates, config_id=config_id
@@ -432,6 +429,15 @@ def sweep_contour(
     )
 
 
+def _write_sidecar(path, meta: dict, extra_metadata: dict | None):
+    """Write meta, the tool version and extra_metadata (which wins on a
+    clash) as the JSON sidecar <path>.meta.json."""
+    meta = {**meta, "tool_version": _version, **(extra_metadata or {})}
+    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_contour_csv(grid: ContourGrid, path, extra_metadata: dict | None = None):
     """Long-form CSV (sigma_s_prime, sigma_i_prime, car, g_c2, h) plus a JSON
     metadata sidecar at <path>.meta.json."""
@@ -448,19 +454,13 @@ def write_contour_csv(grid: ContourGrid, path, extra_metadata: dict | None = Non
                         f"{grid.surfaces['h'][a, b]:.8g}",
                     ]
                 )
-    meta = {
+    _write_sidecar(path, {
         "p_pair": grid.p_pair,
         "sigma_s_range": [float(grid.sigma_s_values[0]), float(grid.sigma_s_values[-1])],
         "sigma_i_range": [float(grid.sigma_i_values[0]), float(grid.sigma_i_values[-1])],
         "n_sigma_s": int(grid.sigma_s_values.size),
         "n_sigma_i": int(grid.sigma_i_values.size),
-        "tool_version": _version,
-    }
-    if extra_metadata:
-        meta.update(extra_metadata)
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, extra_metadata)
 
 
 def write_corrected_csv(corrected: list[CorrectedEstimates], path, extra_metadata: dict | None = None):
@@ -485,15 +485,9 @@ def write_corrected_csv(corrected: list[CorrectedEstimates], path, extra_metadat
                     f"{c.raman_fraction:.6g}",
                 ]
             )
-    meta = {
+    _write_sidecar(path, {
         "correction": "linear Raman term subtracted from herald singles, "
                       "two-fold coincidences, accidentals and triples",
         "corrects_pairwise_coincidences": True,
         "corrects_triples": True,
-        "tool_version": _version,
-    }
-    if extra_metadata:
-        meta.update(extra_metadata)
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    }, extra_metadata)

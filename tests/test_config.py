@@ -177,6 +177,15 @@ class TestJsonBoundary:
         with pytest.raises(ConfigError, match="fwhm_nm"):
             load_config(path)
 
+    def test_informational_fiber_fields_are_optional(self):
+        doc = _demo_doc()
+        full = config_from_dict(doc)
+        del doc["fiber"]["length_m"], doc["fiber"]["gamma_per_w_km"]
+        assert config_from_dict(doc) == full  # demo carries the defaults
+        doc["fiber"]["length_m"] = -1.0
+        with pytest.raises(ConfigError, match="fiber length"):
+            config_from_dict(doc)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")

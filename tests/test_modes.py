@@ -13,10 +13,10 @@ from hsps.modes import (
     marginal_mode_number,
     mode_report,
     schmidt,
-    write_mode_report_json,
     write_strategy_csv,
 )
-from hsps.config import load_config
+from hsps.cli import run
+from hsps.config import config_to_dict, load_config
 from hsps.oracle import make_default_grids
 from hsps.spectral import filter_amplitude
 from hsps.stats import unconditional_g2
@@ -125,10 +125,14 @@ class TestModeReport:
         assert loose.single_mode_heralding is True
 
     def test_json_round_trip(self, symmetric, tmp_path):
-        report = mode_report(symmetric(1.0, 0.3, 0.01))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_to_dict(symmetric(1.0, 0.3, 0.01))))
         path = tmp_path / "modes.json"
-        write_mode_report_json(report, path)
-        doc = json.loads(path.read_text())
+        assert run(["modes", "--config", str(config_path), "--out", str(path)]) == 0
+        report = mode_report(load_config(config_path))
+        text = path.read_text()
+        assert text == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+        doc = json.loads(text)
         assert doc["schmidt_number"] == report.schmidt_number
         assert doc["single_mode_heralding"] is True
         assert sum(doc["schmidt_coefficients"]) == pytest.approx(1.0, abs=1e-6)

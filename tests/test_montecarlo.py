@@ -109,7 +109,7 @@ class TestPatternConstruction:
         config = symmetric(1.0, 1.0, 0.0, det_efficiencies=EFF)
         model = build_pulse_model(config, raman=(0.08, 0.05, 0.9))
         assert model.raman_idler_mean == pytest.approx(0.072)
-        assert model.raman_signal_mean == 0.0
+        assert model.extra_click_probs[1] == model.extra_click_probs[2] == 0.0
         # pair part: mean idler photons reaching the band = s2 p^2
         g2 = gain_for_power(0.05, 0.9, 1.0)
         assert math.sqrt(2) * math.pi * g2 == pytest.approx(0.05 * 0.81, rel=1e-12)
@@ -135,13 +135,6 @@ class TestSimulate:
         assert a == b
         c = simulate(model, 300_000, seed=6, chunking=1 << 16)
         assert a != c
-
-    def test_worker_count_independent(self, symmetric):
-        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF, dark=(1e-4, 1e-4, 1e-4))
-        model = build_pulse_model(config, raman=(0.05, 0.05, 1.0))
-        a = simulate(model, 500_000, seed=9, chunking=1 << 15, workers=1)
-        b = simulate(model, 500_000, seed=9, chunking=1 << 15, workers=4)
-        assert a == b
 
     def test_gate_division_thins_gates(self, symmetric):
         model = build_pulse_model(
@@ -200,12 +193,45 @@ class TestSimulate:
         assert (d, n) == (26, 25_000_000)
         assert abs(tallies.singles_1 - expected) < 4.0 * sigma
 
+    @staticmethod
+    def _per_gate_reference(model, n_gates, seed, chunking):
+        """Tallies rebuilt from the chunk draws over global gate indices:
+        one dead-time veto per detector over the whole run and adjacent-gate
+        accidentals on the per-gate click arrays, so no state is carried
+        across chunk boundaries by hand."""
+        probs = effective_pattern_probs(model)
+        clicks = np.zeros((3, n_gates), dtype=bool)
+        for k, start in enumerate(range(0, n_gates, chunking)):
+            size = min(chunking, n_gates - start)
+            gates, patterns = mc._draw_chunk(probs, seed, k, size)
+            for det in range(3):
+                clicks[det, start + gates[(patterns & (4 >> det)) > 0]] = True
+        for det, dead in enumerate(model.dead_time_gates):
+            dead_until = 0
+            for gate in np.flatnonzero(clicks[det]).tolist():
+                if gate < dead_until:
+                    clicks[det, gate] = False
+                else:
+                    dead_until = gate + 1 + dead
+        d1, d2, d3 = clicks
+        n = np.count_nonzero
+        return TallyCounters(
+            gates=n_gates, singles_1=n(d1), singles_2=n(d2), singles_3=n(d3),
+            coinc_12=n(d1 & d2), coinc_13=n(d1 & d3), coinc_23=n(d2 & d3),
+            acc_12=n(d1[1:] & d2[:-1]), acc_13=n(d1[1:] & d3[:-1]),
+            triples_123=n(d1 & d2 & d3),
+        )
+
     def test_dead_time_state_crosses_chunks(self, symmetric):
+        # dense clicks put a live dead window and a click on the last gate at
+        # most chunk boundaries, so a dead_until or prev_click reset at a
+        # boundary changes the tallies
         config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF, dead_time_gates=7)
-        model = build_pulse_model(config)
-        fine = simulate(model, 200_000, seed=11, chunking=1 << 12)
-        coarse = simulate(model, 200_000, seed=11, chunking=1 << 12, workers=3)
-        assert fine == coarse
+        model = dataclasses.replace(build_pulse_model(config), extra_click_probs=(0.3, 0.3, 0.3))
+        for chunking in (7, 1 << 12):
+            tallies = simulate(model, 20_000, seed=11, chunking=chunking)
+            assert tallies == self._per_gate_reference(model, 20_000, 11, chunking), chunking
+            assert tallies.acc_12 > 0 and tallies.acc_13 > 0
 
     def test_progress_callback(self, symmetric):
         model = build_pulse_model(symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF))
@@ -272,22 +298,6 @@ class TestTallies:
             TallyCounters(gates=100, singles_1=5, singles_2=5, coinc_12=6)
         with pytest.raises(ValueError):
             TallyCounters(gates=10, singles_1=11)
-
-    @given(
-        g=st.integers(100, 10_000),
-        s1=st.integers(0, 100),
-        s2=st.integers(0, 100),
-        c=st.integers(0, 50),
-    )
-    @settings(max_examples=100)
-    def test_merge_is_commutative_and_associative(self, g, s1, s2, c):
-        c = min(c, s1, s2)
-        a = TallyCounters(gates=g, singles_1=s1, singles_2=s2, coinc_12=c)
-        b = TallyCounters(gates=2 * g, singles_1=2 * s1, singles_2=2 * s2, coinc_12=2 * c)
-        d = TallyCounters(gates=5, singles_1=1, singles_2=1, coinc_12=1)
-        assert a + b == b + a
-        assert (a + b) + d == a + (b + d)
-        assert (a + b).gates == 3 * g
 
 
 class TestEstimate:
