@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import SourceConfig
-from .oracle import FrequencyGrid, make_default_grids
+from .oracle import FrequencyGrid, _both_grids_or_none, make_default_grids
 from .spectral import filter_amplitude, pump_envelope
 from .stats import (
     car,
@@ -64,8 +64,7 @@ def filtered_jsa(
 ) -> np.ndarray:
     """Joint spectral amplitude f_s(w_s) f_i(w_i) phi(w_s, w_i) on the grid,
     normalized to unit Frobenius norm."""
-    if grid_s is None or grid_i is None:
-        grid_s, grid_i = make_default_grids(config)
+    grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_default_grids(config))
     ws, wi = grid_s.points(), grid_i.points()
     fs = filter_amplitude(ws, config.signal_filter)
     fi = filter_amplitude(wi, config.idler_filter)

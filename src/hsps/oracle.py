@@ -7,13 +7,14 @@ Two independent machines live here:
   frequency grids and evaluates every count probability as a Gaussian-moment
   contraction of those matrices, with all integrals done numerically;
 
-* a Gaussian-state click engine (:func:`gaussian_click_probs`) that builds
-  the full multimode squeezed state from the SVD of the discretized pair
-  kernel, applies the dual-band filter and detector efficiencies as
-  frequency-diagonal losses, folds the 50/50 coupler (vacuum in its second
-  port) into the signal-band loss seen by each set of arm detectors, and
-  obtains threshold-detector click probabilities from vacuum-probability
-  determinants, one Cholesky factorization each, by inclusion-exclusion.
+* a Gaussian-state click engine (:func:`gaussian_click_probs`) that takes
+  the SVD of the discretized pair kernel, keeps the Schmidt pairs that carry
+  light, and treats the dual-band filter, detector efficiencies and the
+  50/50 coupler (vacuum in its second port, folded into the signal-band
+  loss of each arm) as losses projected onto those pairs.  Every no-click
+  probability is then a small log-determinant in the Schmidt basis, and the
+  click probabilities are assembled from singles, pair and triple connected
+  terms, so that no probability is a difference of numbers close to one.
 
 In ``low_gain`` mode the click engine returns the leading-order count
 probabilities computed through the state route, the same currency as
@@ -41,6 +42,7 @@ BOUNDARY_LEAK = 1e-8          # truncation warning threshold, relative to the ke
 COVERAGE_FACTOR_MIN = 5.0
 DEFAULT_POINTS = 256
 DEFAULT_CLICK_POINTS = 128
+SCHMIDT_CUTOFF = 1e-16        # drop Schmidt pairs with sinh^2 below this fraction of the peak
 
 
 class OracleConvergenceError(RuntimeError):
@@ -104,6 +106,16 @@ def make_default_grids(config: SourceConfig, n_points: int = DEFAULT_POINTS):
         FrequencyGrid(filt.center_omega, 6.0 * max(sp, filt.sigma), n_points)
         for filt in (config.signal_filter, config.idler_filter)
     )
+
+
+def _both_grids_or_none(grid_s, grid_i, defaults):
+    """The caller's (grid_s, grid_i), or defaults() when neither is given.
+    One grid without the other is an error, not a request for the defaults."""
+    if grid_s is None and grid_i is None:
+        return defaults()
+    if grid_s is None or grid_i is None:
+        raise ValueError("give both grid_s and grid_i, or neither")
+    return grid_s, grid_i
 
 
 def make_click_grids(config: SourceConfig, n_points: int = DEFAULT_CLICK_POINTS):
@@ -265,8 +277,7 @@ def numeric_counts(
     any relative change beyond convergence_rtol raises
     :class:`OracleConvergenceError`.
     """
-    if grid_s is None or grid_i is None:
-        grid_s, grid_i = make_default_grids(config)
+    grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_default_grids(config))
     counts = _counts_from_matrices(config, build_correlations(config, grid_s, grid_i))
     if check_convergence:
         fine = _counts_from_matrices(
@@ -331,6 +342,12 @@ def _low_gain_counts(R: np.ndarray, t1: np.ndarray, t2b: np.ndarray, t3b: np.nda
     return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
 
 
+def _log_det_sym(S: np.ndarray) -> float:
+    """log det(I + S) for symmetric S with I + S positive definite, as
+    sum log1p(eigenvalues), so a small S keeps its relative accuracy."""
+    return float(np.sum(np.log1p(np.linalg.eigvalsh(S))))
+
+
 def click_probs_from_pair_kernel(
     R: np.ndarray,
     t1: np.ndarray,
@@ -341,81 +358,89 @@ def click_probs_from_pair_kernel(
 
     Collapsing R to a single entry r with scalar transmissions reproduces the
     two-mode squeezed vacuum result P(click) = 1 - 1/(1 + t sinh^2 r).
+
+    Everything runs on the r Schmidt pairs R = U diag(lam) V^T that carry
+    light.  With N = diag(sinh^2 lam), C = diag(sinh lam cosh lam) and a band
+    loss projected onto the pairs, M = U^T diag(t) U (signal) or
+    V^T diag(t) V (idler), one band set stays dark with probability
+    q = exp(-l), l = log det(I + N M).  Two sets stay dark with
+    q_a q_b exp(rho_ab), where rho_ab = -log det(I - D W_a D W_b) uses the
+    saturations W = M (I + N M)^-1, D = C across the bands and D = N for the
+    two signal arms.  The triple adds the third-order connected term c123,
+    the change of rho_23 when the idler stays dark.
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
     t1 = np.atleast_1d(np.asarray(t1, dtype=float))
     t2_band = np.atleast_1d(np.asarray(t2_band, dtype=float))
     t3_band = np.atleast_1d(np.asarray(t3_band, dtype=float))
-    ns, ni = R.shape
-    n_tot = ns + ni
     U, lam, Vt = np.linalg.svd(R, full_matrices=False)
+    n = np.sinh(lam) ** 2
+    keep = n > SCHMIDT_CUTOFF * n[0]
+    U, V, lam, n = U[:, keep], Vt[keep].T, lam[keep], n[keep]
+    c = np.sinh(lam) * np.cosh(lam)
 
-    # modes: [signal (ns), idler (ni)].  X = Vxx - I/2 is the excess
-    # x-quadrature covariance (vacuum variance 1/2), built from sinh so that
-    # no cosh - 1 cancels; the p block is S Vxx S with S = +1 on the signal
-    # and -1 on the idler modes.
-    sh2 = np.sinh(lam) ** 2
-    X = np.empty((n_tot, n_tot))
-    X[:ns, :ns] = (U * sh2) @ U.T
-    X[ns:, ns:] = (Vt.T * sh2) @ Vt
-    X[:ns, ns:] = 0.5 * (U * np.sinh(2.0 * lam)) @ Vt
-    X[ns:, :ns] = X[:ns, ns:].T
-
-    # symplectic spectrum of the lossless state, sqrt(eig(4 Vxx Vpp));
-    # every covariance below is a loss channel applied to this state, and
-    # loss keeps a physical state physical
-    vxx = X + 0.5 * np.eye(n_tot)
-    sign = np.concatenate([np.ones(ns), -np.ones(ni)])
-    vpp = sign[:, None] * vxx * sign[None, :]
-    chol = np.linalg.cholesky(vpp + 1e-14 * np.eye(n_tot))
-    sym_sq = np.linalg.eigvalsh(chol.T @ vxx @ chol)
-    nu_min = 2.0 * np.sqrt(max(float(np.min(sym_sq)), 0.0))
+    # each pair is a two-mode squeezer with x covariance [[n + 1/2, c], [c, n + 1/2]]
+    # and p covariance [[n + 1/2, -c], [-c, n + 1/2]]: its symplectic eigenvalue
+    # 2 sqrt((n + 1/2)^2 - c^2) is 1, and the losses keep the state physical
+    nu = 2.0 * np.sqrt(np.maximum((n + 0.5 - c) * (n + 0.5 + c), 0.0))
+    nu_min = float(np.min(nu, initial=1.0))
     if nu_min < 1.0 - 1e-9:
         raise OracleConditioningError(
             f"minimum symplectic eigenvalue {nu_min:.12f} < 1: covariance unphysical"
         )
 
-    arm_bands = {2: t2_band, 3: t3_band}
+    def band(modes, t):
+        """(l, Z, M) for the loss M = modes^T diag(t) modes: l = log det(I + N M)
+        and the saturation M (I + N M)^-1 = Z^T Z, from M = T^T T (thin QR)."""
+        T = np.linalg.qr(np.sqrt(t)[:, None] * modes, mode="r")
+        kappa, P = np.linalg.eigh((T * n) @ T.T)
+        return float(np.sum(np.log1p(kappa))), (P.T @ T) / np.sqrt(1.0 + kappa)[:, None], T.T @ T
 
-    def vac_prob(*labels) -> float:
-        """Probability of no click on any detector in labels.
+    def connected(za, d, zb):
+        """rho = -log det(I - D W_a D W_b) from the PSD product B B^T."""
+        b = za @ (d[:, None] * zb.T)
+        return -_log_det_sym(-(b @ b.T))
 
-        The 50/50 coupler mixes the signal band with a vacuum port, so no
-        click on a set of arms equals no click on the signal band seen at
-        the summed halved arm transmissions.  After the loss D = diag(sqrt t)
-        the x and p blocks share the determinant det(I + D X D), so the
-        vacuum probability is its inverse; modes with t = 0 drop out.
-        """
-        t = np.zeros(n_tot)
-        t[:ns] = 0.5 * sum(arm_bands[lbl] for lbl in labels if lbl in arm_bands)
-        if 1 in labels:
-            t[ns:] = t1
-        idx = np.flatnonzero(t)
-        d = np.sqrt(t[idx])
-        m = d[:, None] * X[np.ix_(idx, idx)] * d[None, :]
-        m[np.diag_indices(idx.size)] += 1.0
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise OracleConditioningError(
-                "vacuum-probability matrix is not positive definite"
-            ) from exc
-        return float(np.exp(-2.0 * np.sum(np.log(np.diag(chol)))))
+    l1, z1, _ = band(V, t1)
+    l2, z2, m2 = band(U, 0.5 * t2_band)
+    l3, z3, m3 = band(U, 0.5 * t3_band)
+    rho12, rho13, rho23 = connected(z1, c, z2), connected(z1, c, z3), connected(z2, n, z3)
 
-    q1, q2, q3 = vac_prob(1), vac_prob(2), vac_prob(3)
-    q12, q13, q23 = vac_prob(1, 2), vac_prob(1, 3), vac_prob(2, 3)
-    q123 = vac_prob(1, 2, 3)
+    # c123 = log det(I - G W_2) + log det(I - G W_3) - log det(I - G W_23) with
+    # G = C W_1 C, the photon number a dark idler removes from the signal band.
+    # The saturation difference W_2 + W_3 - W_23 written out as products turns
+    # it into log det(I - Y) with Y = (I + N' M_23)^-1 G [W_2 N' M_3 + (I - W_2 G) W_3 N M_2]
+    # and N' = N - G; Y is not symmetric, so log det(I - Y) is taken as half
+    # the log-det of the Gram matrix (I - Y)^T (I - Y)
+    y1 = z1 * c
+    g = y1.T @ y1
+    n_dark = np.diag(n) - g
+    w2, w3 = z2.T @ z2, z3.T @ z3
+    eye = np.eye(n.size)
+    core = w2 @ n_dark @ m3 + (eye - w2 @ g) @ w3 @ (n[:, None] * m2)
+    y = np.linalg.solve(eye + n_dark @ (m2 + m3), g @ core)
+    c123 = 0.5 * _log_det_sym(y.T @ y - y - y.T)
 
-    p1 = 1.0 - q1
-    p2 = 1.0 - q2
-    p3 = 1.0 - q3
-    p12 = 1.0 - q1 - q2 + q12
-    p13 = 1.0 - q1 - q3 + q13
-    p23 = 1.0 - q2 - q3 + q23
-    p123 = 1.0 - q1 - q2 - q3 + q12 + q13 + q23 - q123
+    q1, q2, q3 = np.exp([-l1, -l2, -l3])
+    p1, p2, p3 = -np.expm1([-l1, -l2, -l3])
+    d12, d13, d23 = np.expm1([rho12, rho13, rho23])
+    p23 = p2 * p3 + q2 * q3 * d23
+    # p123 = p1 p23 + q1 (p23 - p23'), with p23' the value of p23 given a dark
+    # idler.  f_k = q_k' - q_k is how much a dark idler raises the no-click
+    # probability of arm k, and p23 - p23' is written as a sum of products
+    f2, f3 = q2 * d12, q3 * d13
+    herald = (
+        f2 * p3 + f3 * p2 - f2 * f3
+        - q2 * q3 * d23 * np.expm1(rho12 + rho13)
+        - q2 * q3 * np.exp(rho12 + rho13 + rho23) * np.expm1(c123)
+    )
     return CountProbabilities(
-        p1=p1, p2=p2, p3=p3, p12=p12, p13=p13, p23=p23,
-        p12_acc=p1 * p2, p13_acc=p1 * p3, p123=p123,
+        p1=float(p1), p2=float(p2), p3=float(p3),
+        p12=float(p1 * p2 + q1 * q2 * d12),
+        p13=float(p1 * p3 + q1 * q3 * d13),
+        p23=float(p23),
+        p12_acc=float(p1 * p2), p13_acc=float(p1 * p3),
+        p123=float(p1 * p23 + q1 * herald),
     )
 
 
@@ -436,8 +461,7 @@ def gaussian_click_probs(
     reflection of the other; narrower grids silently drop squeezing
     partners of detected modes.
     """
-    if grid_s is None or grid_i is None:
-        grid_s, grid_i = make_click_grids(config)
+    grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_click_grids(config))
     R = _pair_kernel(config, grid_s, grid_i)
     t1, t2b, t3b = _band_transmissions(config, grid_s, grid_i)
     if order == "low_gain":

@@ -35,6 +35,12 @@ class TestFilteredJsa:
         assert report.schmidt_number == pytest.approx(1.0, abs=1e-3)
         assert report.heralded_purity == pytest.approx(1.0, abs=1e-3)
 
+    def test_lone_grid_is_rejected(self, symmetric):
+        config = symmetric(0.8, 0.8, 0.01)
+        grid_s, _ = make_default_grids(config, 64)
+        with pytest.raises(ValueError, match="both grid_s and grid_i"):
+            filtered_jsa(config, grid_s)
+
     def test_band_swap_symmetry(self, symmetric):
         config = symmetric(0.8, 0.8, 0.01)
         grid_s, grid_i = make_default_grids(config, 128)

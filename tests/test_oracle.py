@@ -1,5 +1,7 @@
+import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hsps.oracle import (
     numeric_counts,
     write_comparison_csv,
 )
+from hsps.montecarlo import build_pulse_model
 from hsps.stats import full_report
 
 EFF = (0.5, 0.8, 0.8)
@@ -143,6 +146,12 @@ class TestNumericCounts:
         # singles integrate the conjugate band unfiltered: no suppression
         assert rel_err(numeric.p1, analytic.p1) < 1e-8
 
+    def test_lone_grid_is_rejected(self, symmetric):
+        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
+        grid_s, _ = make_default_grids(config, 64)
+        with pytest.raises(ValueError, match="both grid_s and grid_i"):
+            numeric_counts(config, grid_s=grid_s)
+
     def test_scaling_orders_in_gain(self, symmetric):
         low = numeric_counts(symmetric(1.0, 1.0, 1e-3, det_efficiencies=EFF))
         high = numeric_counts(symmetric(1.0, 1.0, 1e-2, det_efficiencies=EFF))
@@ -163,35 +172,33 @@ class TestGaussianClickEngine:
     @pytest.mark.parametrize("eta", [0.2, 1.0])
     def test_single_mode_squeezed_vacuum(self, r, eta):
         # one-point kernel: a lossy TMSV whose signal mode is split by the
-        # coupler into arms of unequal transmission
+        # coupler into arms of unequal transmission.  The expected values are
+        # exact rational arithmetic on the float inputs, so the
+        # inclusion-exclusion below loses nothing to cancellation
         t2, t3 = 0.3, 0.7
         counts = click_probs_from_pair_kernel(
             np.array([[r]]), np.array([eta]), np.array([t2]), np.array([t3])
         )
-        assert counts.p1 == pytest.approx(1.0 - 1.0 / (1.0 + eta * math.sinh(r) ** 2), rel=1e-12)
-
-        n_bar = math.sinh(r) ** 2
+        n_bar = Fraction(math.sinh(r) ** 2)
 
         def q(*labels):
             # no click anywhere in the set: each arm sees half its band
             # transmission, and the arms add on the one signal mode
-            tau_s = sum(t / 2.0 for lbl, t in ((2, t2), (3, t3)) if lbl in labels)
-            tau_i = eta if 1 in labels else 0.0
-            return 1.0 / (1.0 + n_bar * (tau_s + tau_i - tau_s * tau_i))
+            tau_s = sum(Fraction(t) / 2 for lbl, t in ((2, t2), (3, t3)) if lbl in labels)
+            tau_i = Fraction(eta) if 1 in labels else Fraction(0)
+            return 1 / (1 + n_bar * (tau_s + tau_i - tau_s * tau_i))
 
         expected = {
-            "p1": 1.0 - q(1),
-            "p2": 1.0 - q(2),
-            "p3": 1.0 - q(3),
-            "p12": 1.0 - q(1) - q(2) + q(1, 2),
-            "p13": 1.0 - q(1) - q(3) + q(1, 3),
-            "p23": 1.0 - q(2) - q(3) + q(2, 3),
-            "p123": 1.0 - q(1) - q(2) - q(3) + q(1, 2) + q(1, 3) + q(2, 3) - q(1, 2, 3),
+            "p1": 1 - q(1),
+            "p2": 1 - q(2),
+            "p3": 1 - q(3),
+            "p12": 1 - q(1) - q(2) + q(1, 2),
+            "p13": 1 - q(1) - q(3) + q(1, 3),
+            "p23": 1 - q(2) - q(3) + q(2, 3),
+            "p123": 1 - q(1) - q(2) - q(3) + q(1, 2) + q(1, 3) + q(2, 3) - q(1, 2, 3),
         }
-        tolerances = {"p1": 1e-11, "p2": 1e-11, "p3": 1e-11,
-                      "p12": 1e-10, "p13": 1e-10, "p23": 1e-8, "p123": 1e-8}
         for field, value in expected.items():
-            assert getattr(counts, field) == pytest.approx(value, rel=tolerances[field]), field
+            assert getattr(counts, field) == pytest.approx(float(value), rel=1e-13, abs=0.0), field
 
     def test_padding_with_empty_modes_changes_nothing(self):
         # zero-amplitude signal rows and idler columns hold vacuum, so no
@@ -250,6 +257,36 @@ class TestGaussianClickEngine:
         counts = gaussian_click_probs(config, order="low_gain")
         assert clicks.p123 < counts.p123
         assert clicks.p23 > clicks.p123
+
+    def test_lone_grid_is_rejected(self, symmetric):
+        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
+        _, grid_i = make_click_grids(config, 64)
+        with pytest.raises(ValueError, match="both grid_s and grid_i"):
+            gaussian_click_probs(config, grid_i=grid_i)
+
+    @pytest.mark.parametrize("sig_i", [0.3, 2.0, 3.0])
+    def test_faint_triples_are_valid_counts(self, sig_i):
+        # p123 is ~1e-35 here; subtracting vacuum probabilities near one
+        # used to leave it at -2e-16 .. -3e-15, a false model-validity error
+        config = make_symmetric_config(0.1, sig_i, 1e-5, det_efficiencies=(0.05, 0.05, 0.05))
+        counts = gaussian_click_probs(config)
+        assert 0.0 <= counts.p123 <= counts.p23 <= counts.p2
+        if sig_i == 3.0:
+            model = build_pulse_model(config, source="gaussian_oracle")
+            assert np.all(model.pattern_probs >= 0.0)
+            assert model.pattern_probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_every_config_of_the_design_sweep_is_valid(self):
+        # 375 energy-matched configs from narrow to broad filters, low to
+        # high gain, and three efficiency sets; CountProbabilities rejects
+        # any output outside [0, 1] or below the accidental level
+        sigmas = (0.1, 0.3, 1.0, 2.0, 3.0)
+        gains = (1e-5, 1e-4, 1e-3, 1e-2, 5e-2)
+        efficiencies = ((0.5, 0.8, 0.8), (1.0, 1.0, 1.0), (0.05, 0.05, 0.05))
+        for sig_s, sig_i, g2, eff in itertools.product(sigmas, sigmas, gains, efficiencies):
+            config = make_symmetric_config(sig_s, sig_i, g2, det_efficiencies=eff)
+            counts = gaussian_click_probs(config)
+            assert counts.p123 <= min(counts.p12, counts.p13, counts.p23)
 
 
 class TestContractionsMatchEinsumReference:
