@@ -261,8 +261,7 @@ def run(argv) -> int:
     except ModelValidityError as exc:
         print(f"hsps: model validity: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, pipeline_mod.PipelineError, mc.ModelInconsistencyError,
-            mc.EstimationError, pipeline_mod.CorrectionRegimeError,
+    except (mc.EstimationError, pipeline_mod.CorrectionRegimeError,
             oracle_mod.OracleConvergenceError, oracle_mod.OracleConditioningError,
             ValueError, OSError) as exc:
         print(f"hsps: error: {exc}", file=sys.stderr)

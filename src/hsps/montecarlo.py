@@ -267,15 +267,12 @@ def model_predictions(model: PulseModel, config: SourceConfig) -> dict:
     """Exact expectation values of the tally-based estimators, dark counts
     and Raman included, assuming no dead-time thinning."""
     j = _joint_probs(effective_pattern_probs(model))
-    acc_12 = j["p1"] * j["p2"]
-    eta_d = (j["p12"] - acc_12) / j["p1"]
-    return {
-        "car": j["p12"] / acc_12,
-        "g_c2": j["p123"] * j["p1"] / (j["p13"] * j["p12"]),
-        "eta_d": eta_d,
-        "h": eta_d / _herald_norm(config),
-        "joint": j,
-    }
+    figures = _figures(
+        (j["p1"], j["p12"], j["p13"], j["p1"] * j["p2"], j["p123"]),
+        (0.0,) * 5,
+        _herald_norm(config),
+    )
+    return {name: r.value for name, r in vars(figures).items()} | {"joint": j}
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +403,42 @@ def simulate(
     )
 
 
+def _figures(counts, variances, herald_norm: float) -> Estimates:
+    """CAR, heralded g2, eta_D and H with delta-method standard errors.
+
+    counts are (n1, c12, c13, a12, t123) and variances their variances.
+    The counts are treated as independent, and the triples' variance has a
+    floor of one count, which gives g2 = 0 a nonzero error.  The values are
+    ratios, so any unit gives them (model_predictions passes probabilities).
+    """
+    n1, c12, c13, a12, t123 = counts
+    v_n1, v_c12, v_c13, v_a12, v_t123 = variances
+    v_t123 = max(v_t123, 1.0)
+
+    car = c12 / a12
+    car_se = car * math.sqrt(v_c12 / c12**2 + v_a12 / a12**2)
+
+    g2 = t123 * n1 / (c13 * c12)
+    g2_se = math.sqrt(
+        v_t123 * (n1 / (c13 * c12)) ** 2
+        + g2**2 * (v_n1 / n1**2 + v_c12 / c12**2 + v_c13 / c13**2)
+    )
+
+    true_cc = c12 - a12
+    eta_d = true_cc / n1
+    eta_d_se = math.sqrt(v_c12 + v_a12 + eta_d**2 * v_n1) / n1
+
+    # a whole count for tallies and after Raman subtraction alike (the
+    # Raman terms of c12 and a12 cancel), so round off the float error
+    n_true = max(round(true_cc), 0)
+    return Estimates(
+        car=EstimatorResult(car, car_se, max(int(a12), 0)),
+        g_c2=EstimatorResult(g2, g2_se, max(int(t123), 0)),
+        h=EstimatorResult(eta_d / herald_norm, eta_d_se / herald_norm, n_true),
+        eta_d=EstimatorResult(eta_d, eta_d_se, n_true),
+    )
+
+
 def estimate(tallies: TallyCounters, config: SourceConfig) -> Estimates:
     """CAR, heralded g2, heralding efficiency and conditional detection
     efficiency from raw tallies, with delta-method standard errors.
@@ -414,7 +447,9 @@ def estimate(tallies: TallyCounters, config: SourceConfig) -> Estimates:
     to adjacent-slot coincidence ratio, the heralded g2 is
     triples * singles_1 / (coinc_13 * coinc_12), and H divides the true
     coincidence rate by the herald singles and by the signal-channel
-    detection efficiency (coupler split included).
+    detection efficiency (coupler split included).  The figures and their
+    errors come from :func:`_figures` on the counts with Poisson variances;
+    with no triples, g2 is 0 with error singles_1 / (coinc_13 * coinc_12).
     """
     if tallies.acc_12 == 0:
         raise EstimationError(
@@ -423,33 +458,10 @@ def estimate(tallies: TallyCounters, config: SourceConfig) -> Estimates:
         )
     if tallies.singles_1 == 0 or tallies.coinc_12 == 0 or tallies.coinc_13 == 0:
         raise EstimationError("zero counts in an estimator denominator; increase n_pulses")
-
-    c12, c13 = float(tallies.coinc_12), float(tallies.coinc_13)
-    a12 = float(tallies.acc_12)
-    n1 = float(tallies.singles_1)
-    t = float(tallies.triples_123)
-
-    car_value = c12 / a12
-    car_se = car_value * math.sqrt(1.0 / c12 + 1.0 / a12)
-
-    if t > 0:
-        g2_value = t * n1 / (c13 * c12)
-        g2_se = g2_value * math.sqrt(1.0 / t + 1.0 / n1 + 1.0 / c12 + 1.0 / c13)
-    else:
-        g2_value = 0.0
-        g2_se = n1 / (c13 * c12)
-
-    true_cc = c12 - a12
-    eta_d_value = true_cc / n1
-    eta_d_se = math.sqrt((c12 + a12) / n1**2 + eta_d_value**2 / n1)
-
     herald_norm = _herald_norm(config)
     if herald_norm <= 0:
         raise EstimationError("signal-channel detection efficiency is zero")
 
-    return Estimates(
-        car=EstimatorResult(car_value, car_se, int(a12)),
-        g_c2=EstimatorResult(g2_value, g2_se, int(t)),
-        h=EstimatorResult(eta_d_value / herald_norm, eta_d_se / herald_norm, max(int(true_cc), 0)),
-        eta_d=EstimatorResult(eta_d_value, eta_d_se, max(int(true_cc), 0)),
-    )
+    t = tallies
+    counts = (t.singles_1, t.coinc_12, t.coinc_13, t.acc_12, t.triples_123)
+    return _figures(counts, counts, herald_norm)

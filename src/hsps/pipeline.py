@@ -34,14 +34,17 @@ from .config import ConfigWarning, SourceConfig, normalize
 from .montecarlo import (
     EstimatorResult,
     TallyCounters,
+    _figures,
     _herald_norm,
     build_pulse_model,
+    estimate,
     simulate,
 )
 from .stats import (
     car as car_closed_form,
     collection_efficiency,
     heralded_g2_approx,
+    pair_rate,
     unconditional_g2,
 )
 
@@ -241,81 +244,58 @@ def raman_correct(
     (same for the 1-3 pair).  Raman clicks are independent of the signal
     band, so they enter every herald-bearing rate through products with the
     unconditioned signal-side rate; subtraction is first order in beta.
-    Uncertainties combine Poisson counting errors with the fit variance of
-    s1.
+    The subtraction is done in counts (rates times gates), with variances
+    that combine Poisson counting errors and the fit variance of s1.  The
+    corrected CAR, g2 and H come from the delta-method estimator behind
+    :func:`estimate` (``montecarlo._figures``), and raw_h is the H of
+    :func:`estimate` on the raw tallies.
     """
     bands = normalize(config)
     herald_norm = _herald_norm(config)
-    eta_herald = config.idler_channel_transmission * config.detectors[0].efficiency
     xi = collection_efficiency(bands.sigma_s_prime, bands.sigma_i_prime)
     var_s1 = fit.covariance[0][0]
 
     out = []
     for rec in records:
         t = rec.tallies
-        gates = float(t.gates)
-        n1 = t.singles_1 / gates
-        n2 = t.singles_2 / gates
-        n3 = t.singles_3 / gates
-        c12 = t.coinc_12 / gates
-        c13 = t.coinc_13 / gates
-        c23 = t.coinc_23 / gates
-        a12 = t.acc_12 / gates
-        t123 = t.triples_123 / gates
-
         beta = fit.s1 * rec.p_ave
         var_beta = var_s1 * rec.p_ave**2
-
+        n1 = t.singles_1 / t.gates
         n1c = n1 - beta
         if n1c <= 0:
             raise CorrectionRegimeError(
                 f"p_ave={rec.p_ave}: Raman subtraction exhausts the herald singles"
             )
-        c12c = c12 - beta * n2
-        c13c = c13 - beta * n3
-        a12c = a12 - beta * n2
-        t123c = t123 - beta * c23
+
+        # corrected counts, with Poisson variances plus the fit contribution
+        def subtract(count, partner):
+            return count - beta * partner, count + partner**2 * var_beta + beta**2 * partner
+
+        c12c, v_c12 = subtract(t.coinc_12, t.singles_2)
+        c13c, v_c13 = subtract(t.coinc_13, t.singles_3)
+        a12c, v_a12 = subtract(t.acc_12, t.singles_2)
+        t123c, v_t123 = subtract(t.triples_123, t.coinc_23)
         if c12c <= 0 or c13c <= 0 or a12c <= 0:
             raise CorrectionRegimeError(
                 f"p_ave={rec.p_ave}: Raman subtraction exhausts the coincidences"
             )
+        v_n1 = t.singles_1 + var_beta * t.gates**2
 
-        # Poisson variances on raw rates, plus the fit contribution
-        v_n1 = n1 / gates + var_beta
-        v_c12 = c12 / gates + (n2 * rec.p_ave) ** 2 * var_s1 + beta**2 * n2 / gates
-        v_a12 = a12 / gates + (n2 * rec.p_ave) ** 2 * var_s1 + beta**2 * n2 / gates
-        v_t123 = t123 / gates + (c23 * rec.p_ave) ** 2 * var_s1 + beta**2 * c23 / gates
-        v_c13 = c13 / gates + (n3 * rec.p_ave) ** 2 * var_s1 + beta**2 * n3 / gates
-
-        car_c = c12c / a12c
-        car_se = car_c * math.sqrt(v_c12 / c12c**2 + v_a12 / a12c**2)
-
-        g2_c = t123c * n1c / (c13c * c12c)
-        g2_se = abs(g2_c) * math.sqrt(
-            v_t123 / max(t123c, 1.0 / gates) ** 2
-            + v_n1 / n1c**2
-            + v_c12 / c12c**2
-            + v_c13 / c13c**2
+        figures = _figures(
+            (t.singles_1 - beta * t.gates, c12c, c13c, a12c, t123c),
+            (v_n1, v_c12, v_c13, v_a12, v_t123),
+            herald_norm,
         )
-
-        true_cc = c12c - a12c
-        h_c = true_cc / n1c / herald_norm
-        h_se = abs(h_c) * math.sqrt((v_c12 + v_a12) / max(true_cc, 1.0 / gates) ** 2 + v_n1 / n1c**2)
-
-        raw_true = c12 - a12
-        raw_h = raw_true / n1 / herald_norm
-        raw_h_se = abs(raw_h) * math.sqrt(
-            (c12 + a12) / gates / max(raw_true, 1.0 / gates) ** 2 + 1.0 / (n1 * gates)
-        )
-
         out.append(
             CorrectedEstimates(
                 p_ave=rec.p_ave,
-                p_pair=n1c * xi / eta_herald,
-                car=EstimatorResult(car_c, car_se, max(int(a12c * gates), 0)),
-                g_c2=EstimatorResult(g2_c, g2_se, max(int(t123c * gates), 0)),
-                h=EstimatorResult(h_c, h_se, max(int(true_cc * gates), 0)),
-                raw_h=EstimatorResult(raw_h, raw_h_se, max(int(raw_true * gates), 0)),
+                p_pair=pair_rate(
+                    n1c, config.idler_channel_transmission, config.detectors[0].efficiency, xi
+                ),
+                car=figures.car,
+                g_c2=figures.g_c2,
+                h=figures.h,
+                raw_h=estimate(t, config).h,
                 raman_fraction=beta / n1,
             )
         )

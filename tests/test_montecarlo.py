@@ -331,9 +331,13 @@ class TestEstimate:
 
     def test_zero_triples_reports_zero_with_scale(self, symmetric):
         config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
-        est = estimate(self._tallies(triples_123=0), config)
+        tallies = self._tallies(triples_123=0)
+        est = estimate(tallies, config)
         assert est.g_c2.value == 0.0
-        assert est.g_c2.std_error > 0.0
+        # one count of triple variance: error singles_1 / (coinc_13 * coinc_12)
+        assert est.g_c2.std_error == pytest.approx(
+            tallies.singles_1 / (tallies.coinc_13 * tallies.coinc_12), rel=1e-12, abs=0
+        )
 
     def test_estimator_result_validation(self):
         with pytest.raises(ValueError):

@@ -318,7 +318,7 @@ class TestContractionsMatchEinsumReference:
             p123_bunching=p1 * bunch23 + w4,
         )
         for field, value in expected.items():
-            assert getattr(counts, field) == pytest.approx(value, rel=1e-12), field
+            assert getattr(counts, field) == pytest.approx(value, rel=1e-12, abs=0), field
 
     def test_low_gain_contraction(self):
         rng = np.random.default_rng(6)
@@ -339,7 +339,7 @@ class TestContractionsMatchEinsumReference:
         expected["p23"] = expected["p2"] * expected["p3"] + bunch23
         expected["p123_bunching"] = expected["p1"] * bunch23 + w4
         for field, value in expected.items():
-            assert getattr(counts, field) == pytest.approx(value, rel=1e-12), field
+            assert getattr(counts, field) == pytest.approx(value, rel=1e-12, abs=0), field
 
 
 class TestComparisonReport:

@@ -6,7 +6,7 @@ import pytest
 
 from hsps.config import ConfigWarning
 from hsps import pipeline as pl
-from hsps.montecarlo import TallyCounters
+from hsps.montecarlo import TallyCounters, estimate
 from hsps.pipeline import (
     CorrectionRegimeError,
     PipelineError,
@@ -166,10 +166,16 @@ class TestRamanCorrection:
                               covariance=((0.0, 0.0), (0.0, 0.0)))
         corrected = raman_correct(records, fit, config)
         for rec, cor in zip(records, corrected):
-            assert cor.h.value == pytest.approx(cor.raw_h.value, rel=1e-12)
             assert cor.raman_fraction == 0.0
             t = rec.tallies
             assert cor.car.value == pytest.approx(t.coinc_12 / t.acc_12, rel=1e-12)
+            # the corrected and raw figures are the raw-tally estimates
+            est = estimate(t, config)
+            for got, want in ((cor.car, est.car), (cor.g_c2, est.g_c2),
+                              (cor.h, est.h), (cor.raw_h, est.h)):
+                assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
+                assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0)
+                assert got.n_effective == want.n_effective
 
     def test_corrected_h_flat_raw_h_rising(self, symmetric):
         config, records, fit = self._chain(symmetric, s1=0.06, s2=0.08)
