@@ -123,19 +123,9 @@ class PulseModel:
     """
 
     pattern_probs: np.ndarray
-    raman_idler_mean: float
     extra_click_probs: tuple[float, float, float]
     gate_divisor: int
     dead_time_gates: tuple[int, int, int]
-
-    def marginals(self) -> tuple[float, float, float]:
-        p = self.pattern_probs
-        bits = np.arange(8)
-        return (
-            float(p[(bits & 4) > 0].sum()),
-            float(p[(bits & 2) > 0].sum()),
-            float(p[(bits & 1) > 0].sum()),
-        )
 
 
 def pattern_probabilities(counts: CountProbabilities) -> np.ndarray:
@@ -211,16 +201,16 @@ def build_pulse_model(
 
     model = PulseModel(
         pattern_probs=patterns,
-        raman_idler_mean=raman_idler,
         extra_click_probs=extra,
         gate_divisor=config.gate_divisor,
         dead_time_gates=tuple(d.dead_time_gates for d in config.detectors),
     )
     # construction guarantees: distribution normalized, marginals match
-    marg = model.marginals()
-    for got, want, label in zip(marg, (counts.p1, counts.p2, counts.p3), "123"):
-        if abs(got - want) > 1e-12:
-            raise ModelInconsistencyError(f"pattern marginal P{label} off by {got - want:.2e}")
+    joint = _joint_probs(patterns)
+    for name in ("p1", "p2", "p3"):
+        off = joint[name] - getattr(counts, name)
+        if abs(off) > 1e-12:
+            raise ModelInconsistencyError(f"pattern marginal {name} off by {off:.2e}")
     return model
 
 

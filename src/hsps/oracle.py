@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import ConfigWarning, SourceConfig, normalize
 from .spectral import filter_amplitude, pair_kernel_leading
-from .stats import CountProbabilities, full_report
+from .stats import CountProbabilities, _assemble_counts, full_report
 
 BOUNDARY_LEAK = 1e-8          # truncation warning threshold, relative to the kernel peak
 COVERAGE_FACTOR_MIN = 5.0
@@ -234,28 +234,6 @@ def _counts_from_matrices(config: SourceConfig, mats: CorrelationMatrices) -> Co
     # with the signal number kernel
     w4 = 0.5 * e1 * e2 * e3 * float(np.sum((c @ c.T) * a_s)) * ds * ds * di
     return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
-
-
-def _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4) -> CountProbabilities:
-    """Count probabilities from the singles, the true pair coincidences
-    t12/t13, the signal-arm bunching bunch23 and the triple contraction w4."""
-    accidental = p1 * p2 * p3
-    pair_single = t12 * p3 + t13 * p2
-    bunching = p1 * bunch23 + w4
-    return CountProbabilities(
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        p12=p1 * p2 + t12,
-        p13=p1 * p3 + t13,
-        p23=p2 * p3 + bunch23,
-        p12_acc=p1 * p2,
-        p13_acc=p1 * p3,
-        p123=accidental + pair_single + bunching,
-        p123_accidental=accidental,
-        p123_pair_single=pair_single,
-        p123_bunching=bunching,
-    )
 
 
 _CONVERGENCE_FIELDS = (

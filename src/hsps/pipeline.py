@@ -68,14 +68,11 @@ RECORD_COLUMNS = (
 class PowerPointRecord:
     p_ave: float                   # average pump power, mW
     tallies: TallyCounters
-    gates: int
     config_id: str = ""
 
     def __post_init__(self):
         if self.p_ave <= 0:
             raise PipelineError(f"p_ave must be positive, got {self.p_ave}")
-        if self.gates != self.tallies.gates:
-            raise PipelineError("gates field disagrees with the tally block")
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def write_power_records(path, records: list[PowerPointRecord]):
             )
 
 
-def read_power_records(path, config_id: str = "") -> list[PowerPointRecord]:
+def read_power_records(path) -> list[PowerPointRecord]:
     """Parse and validate a power-record CSV, sorted by increasing power.
 
     Schema violations name the offending row and column; duplicate power
@@ -158,12 +155,7 @@ def read_power_records(path, config_id: str = "") -> list[PowerPointRecord]:
                 acc_13=values["acc13"],
                 triples_123=values["t123"],
             )
-            records.append(
-                PowerPointRecord(
-                    p_ave=values["p_ave_mw"], tallies=tallies, gates=values["gates"],
-                    config_id=config_id,
-                )
-            )
+            records.append(PowerPointRecord(p_ave=values["p_ave_mw"], tallies=tallies))
     powers = [r.p_ave for r in records]
     if len(set(powers)) != len(powers):
         warnings.warn(f"{path}: duplicate power points", ConfigWarning, stacklevel=2)
@@ -348,11 +340,7 @@ def synthesize_power_sweep(
     for k, p_ave in enumerate(powers):
         model = build_pulse_model(config, source="analytic", raman=(s1, s2, float(p_ave)))
         tallies = simulate(model, pulses_per_point, seed=seed + 7919 * k)
-        records.append(
-            PowerPointRecord(
-                p_ave=float(p_ave), tallies=tallies, gates=tallies.gates, config_id=config_id
-            )
-        )
+        records.append(PowerPointRecord(p_ave=float(p_ave), tallies=tallies, config_id=config_id))
     return records
 
 

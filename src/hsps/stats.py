@@ -13,15 +13,25 @@ Key quantities:
     P1        = sqrt(2) pi |G|^2 eta_i eta_1 sig_i          herald singles
     P2, P3    = (pi/sqrt(2)) |G|^2 eta_s eta_{2,3} sig_s    arm singles
     xi        = sig_s / sqrt(2 + sig_s^2 + sig_i^2)         pair collection
+    xi'       = sqrt(2) sig_s / sqrt(4 + 2 sig_i^2 + sig_s^2)   two-pair collection
     P12(0)    = P1 P2 + (1/2) eta_s eta_2 P1 xi             same-pulse pairs
+    P23(0)    = g_s2 P2 P3                                  signal-arm pairs
+    P123(0)   = P1 P2 P3 + xi X + (g_s2 - 1) (P1 P2 P3 + xi' X),
+                X = eta_s P1 (eta_3 P2 + eta_2 P3) / 2      triples
     CAR       = P12(0) / (P1 P2)
     g_s2      = 1 + 1 / sqrt(1 + sig_s^2 / 2)               band bunching
     gc2       = P123(0) P1 / (P13(0) P12(0))                heralded g2
     H         = xi                                          heralding eff.
 
-Dark counts are deliberately absent from these formulas; they belong to the
-Monte Carlo model and the experimental correction chain.  car, xi, g_s2 and
-the approximate gc2 also take numpy arrays of bandwidths, elementwise.
+:func:`full_report` is the one place these formulas are evaluated for a
+configuration: it hands the singles, the true pair terms, the band
+bunching and the two-pair term to :func:`_assemble_counts`, which the
+leading-order oracles share, and its :class:`CountProbabilities` rejects
+any value outside [0, 1] with ModelValidityError.  Dark counts are
+deliberately absent from these formulas; they belong to the Monte Carlo
+model and the experimental correction chain.  car, xi, g_s2 and the
+approximate gc2 also exist as elementwise functions of numpy arrays of
+bandwidths, for the sweeps.
 """
 
 from __future__ import annotations
@@ -89,30 +99,26 @@ class FiguresOfMerit:
         return asdict(self)
 
 
-def _check_prob(value: float, label: str) -> float:
-    if value > 1.0 or value < 0.0:
-        raise ModelValidityError(
-            f"{label} = {value:.4g} is outside [0, 1]; the low-gain model does not apply"
-        )
-    return value
-
-
-def herald_singles_prob(g2: float, eta_i: float, eta_1: float, sig_i: float) -> float:
-    """P1, detection probability per gate on the idler (herald) detector."""
-    if g2 < 0 or eta_i < 0 or eta_1 < 0:
-        raise ValueError("gain and efficiencies must be nonnegative")
-    if sig_i <= 0:
-        raise ValueError("normalized idler bandwidth must be positive")
-    return _check_prob(_SQRT2_PI * g2 * eta_i * eta_1 * sig_i, "P1")
-
-
-def signal_singles_prob(g2: float, eta_s: float, eta_det: float, sig_s: float) -> float:
-    """P2 or P3, singles probability of one signal arm behind the coupler."""
-    if g2 < 0 or eta_s < 0 or eta_det < 0:
-        raise ValueError("gain and efficiencies must be nonnegative")
-    if sig_s <= 0:
-        raise ValueError("normalized signal bandwidth must be positive")
-    return _check_prob(_PI_OVER_SQRT2 * g2 * eta_s * eta_det * sig_s, "P2(3)")
+def _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4) -> CountProbabilities:
+    """Count probabilities from the singles, the true pair coincidences
+    t12/t13, the signal-arm bunching bunch23 and the triple contraction w4."""
+    accidental = p1 * p2 * p3
+    pair_single = t12 * p3 + t13 * p2
+    bunching = p1 * bunch23 + w4
+    return CountProbabilities(
+        p1=p1,
+        p2=p2,
+        p3=p3,
+        p12=p1 * p2 + t12,
+        p13=p1 * p3 + t13,
+        p23=p2 * p3 + bunch23,
+        p12_acc=p1 * p2,
+        p13_acc=p1 * p3,
+        p123=accidental + pair_single + bunching,
+        p123_accidental=accidental,
+        p123_pair_single=pair_single,
+        p123_bunching=bunching,
+    )
 
 
 def collection_efficiency(sig_s, sig_i):
@@ -121,31 +127,6 @@ def collection_efficiency(sig_s, sig_i):
     if np.any(sig_s <= 0) or np.any(sig_i <= 0):
         raise ValueError("normalized bandwidths must be positive")
     return sig_s / np.sqrt(2.0 + sig_i**2 + sig_s**2)
-
-
-def two_pair_collection_efficiency(sig_s: float, sig_i: float) -> float:
-    """xi', the analogous collection factor for two-pair events:
-    sqrt(2) sig_s / sqrt(4 + 2 sig_i^2 + sig_s^2).
-
-    The expression exceeds 1 for very broad signal filters, where the
-    two-pair factorization stops being a probability; a warning flags that
-    regime.
-    """
-    if sig_s <= 0 or sig_i <= 0:
-        raise ValueError("normalized bandwidths must be positive")
-    value = math.sqrt(2.0) * sig_s / math.sqrt(4.0 + 2.0 * sig_i**2 + sig_s**2)
-    if value > 1.0:
-        warnings.warn(
-            f"two-pair collection factor {value:.4f} > 1: outside its validity regime",
-            ConfigWarning,
-            stacklevel=2,
-        )
-    return value
-
-
-def coincidence_prob(p1: float, p2: float, eta_s: float, eta_det: float, xi: float) -> float:
-    """Same-pulse coincidence P12(0) = P1 P2 + (1/2) eta_s eta_det P1 xi."""
-    return _check_prob(p1 * p2 + 0.5 * eta_s * eta_det * p1 * xi, "P12(0)")
 
 
 def car(p_pair, sig_s, sig_i):
@@ -166,66 +147,12 @@ def unconditional_g2(sig_s):
     return 1.0 + 1.0 / np.sqrt(1.0 + sig_s**2 / 2.0)
 
 
-@dataclass(frozen=True)
-class TripleTerms:
-    accidental: float
-    pair_single: float
-    bunching: float
-
-    @property
-    def total(self) -> float:
-        return self.accidental + self.pair_single + self.bunching
-
-
-def triple_coincidence_prob(
-    p1: float,
-    p2: float,
-    p3: float,
-    eta_s: float,
-    eta_2: float,
-    eta_3: float,
-    xi: float,
-    xi_two_pair: float,
-    g_s2: float,
-) -> TripleTerms:
-    """Same-pulse triple coincidence P123(0), split into its three terms.
-
-    accidental:   P1 P2 P3
-    pair_single:  eta_s xi P1 (eta_3 P2 + eta_2 P3) / 2
-    bunching:     (g_s2 - 1) (P1 P2 P3 + eta_s xi' P1 (eta_3 P2 + eta_2 P3) / 2)
-    """
-    accidental = p1 * p2 * p3
-    cross = eta_s * p1 * (eta_3 * p2 + eta_2 * p3) / 2.0
-    pair_single = xi * cross
-    bunching = (g_s2 - 1.0) * (accidental + xi_two_pair * cross)
-    _check_prob(accidental + pair_single + bunching, "P123(0)")
-    return TripleTerms(accidental, pair_single, bunching)
-
-
-def heralded_g2_exact(counts: CountProbabilities) -> float:
-    """Conditional g2 of the heralded signal field:
-    P123(0) P1 / (P13(0) P12(0)).
-
-    A pure ratio of count probabilities, so any rescaling of a detector
-    efficiency cancels out.
-    """
-    if counts.p12 <= 0 or counts.p13 <= 0:
-        raise ZeroDivisionError("heralded g2 undefined with zero coincidence probability")
-    return counts.p123 * counts.p1 / (counts.p13 * counts.p12)
-
-
 def heralded_g2_approx(g_s2, car_value):
     """Approximate heralded g2 from the band autocorrelation and the CAR:
     (g_s2 / CAR) (2 - 1 / CAR)."""
     if np.any(car_value < 1.0):
         raise ValueError("CAR below 1 is unphysical for this model")
     return g_s2 / car_value * (2.0 - 1.0 / car_value)
-
-
-def heralding_efficiencies(eta_s: float, eta_det: float, xi: float) -> tuple[float, float]:
-    """(eta_D, H): conditional detection efficiency (1/2) eta_s eta_det xi,
-    and the loss-corrected heralding efficiency H = xi."""
-    return 0.5 * eta_s * eta_det * xi, xi
 
 
 def pair_rate(p1: float, eta_i: float, eta_1: float, xi: float) -> float:
@@ -240,7 +167,7 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
 
     Consistency guaranteed by construction: car equals p12 / (p1 p2), the
     g2 values come from the same count set, and the p123 term decomposition
-    sums to p123.
+    sums to p123.  A probability outside [0, 1] raises ModelValidityError.
     """
     bands = normalize(config)
     sig_s, sig_i = bands.sigma_s_prime, bands.sigma_i_prime
@@ -249,44 +176,38 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
     eta_i = config.idler_channel_transmission
     eta_1, eta_2, eta_3 = (d.efficiency for d in config.detectors)
 
-    p1 = herald_singles_prob(g2, eta_i, eta_1, sig_i)
-    p2 = signal_singles_prob(g2, eta_s, eta_2, sig_s)
-    p3 = signal_singles_prob(g2, eta_s, eta_3, sig_s)
-    xi = collection_efficiency(sig_s, sig_i)
-    xi2 = two_pair_collection_efficiency(sig_s, sig_i)
-    g_s2 = unconditional_g2(sig_s)
+    p1 = _SQRT2_PI * g2 * eta_i * eta_1 * sig_i
+    p2 = _PI_OVER_SQRT2 * g2 * eta_s * eta_2 * sig_s
+    p3 = _PI_OVER_SQRT2 * g2 * eta_s * eta_3 * sig_s
+    xi = sig_s / math.sqrt(2.0 + sig_i**2 + sig_s**2)
+    # xi' exceeds 1 for very broad signal filters, where the two-pair
+    # factorization stops being a probability
+    xi2 = math.sqrt(2.0) * sig_s / math.sqrt(4.0 + 2.0 * sig_i**2 + sig_s**2)
+    if xi2 > 1.0:
+        warnings.warn(
+            f"two-pair collection factor {xi2:.4f} > 1: outside its validity regime",
+            ConfigWarning,
+            stacklevel=2,
+        )
+    g_s2 = 1.0 + 1.0 / math.sqrt(1.0 + sig_s**2 / 2.0)
 
-    p12 = coincidence_prob(p1, p2, eta_s, eta_2, xi)
-    p13 = coincidence_prob(p1, p3, eta_s, eta_3, xi)
-    p23 = _check_prob(g_s2 * p2 * p3, "P23(0)")
-    terms = triple_coincidence_prob(p1, p2, p3, eta_s, eta_2, eta_3, xi, xi2, g_s2)
-
-    counts = CountProbabilities(
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        p12=p12,
-        p13=p13,
-        p23=p23,
-        p12_acc=p1 * p2,
-        p13_acc=p1 * p3,
-        p123=terms.total,
-        p123_accidental=terms.accidental,
-        p123_pair_single=terms.pair_single,
-        p123_bunching=terms.bunching,
+    counts = _assemble_counts(
+        p1, p2, p3,
+        t12=0.5 * eta_s * eta_2 * p1 * xi,
+        t13=0.5 * eta_s * eta_3 * p1 * xi,
+        bunch23=(g_s2 - 1.0) * p2 * p3,
+        w4=(g_s2 - 1.0) * xi2 * (eta_s * p1 * (eta_3 * p2 + eta_2 * p3) / 2.0),
     )
 
-    p_pair = pair_rate(p1, eta_i, eta_1, xi) if p1 > 0 else 0.0
-    car_value = p12 / (p1 * p2) if p1 > 0 and p2 > 0 else math.inf
-    eta_d, h = heralding_efficiencies(eta_s, eta_2, xi)
+    car_value = counts.p12 / (p1 * p2) if p1 > 0 and p2 > 0 else math.inf
     figures = FiguresOfMerit(
         car=car_value,
         g_s2=g_s2,
-        g_c2_exact=heralded_g2_exact(counts) if p1 > 0 else 0.0,
+        g_c2_exact=counts.p123 * p1 / (counts.p13 * counts.p12) if p1 > 0 else 0.0,
         g_c2_approx=heralded_g2_approx(g_s2, car_value) if math.isfinite(car_value) else 0.0,
-        eta_d=eta_d,
-        heralding_eff=h,
-        p_pair=p_pair,
+        eta_d=0.5 * eta_s * eta_2 * xi,
+        heralding_eff=xi,
+        p_pair=pair_rate(p1, eta_i, eta_1, xi) if p1 > 0 else 0.0,
     )
     return counts, figures
 

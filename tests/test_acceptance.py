@@ -186,7 +186,7 @@ class TestCriterion6PipelineReproduction:
                 tallies = mc.TallyCounters(gates=gates, singles_1=counts, singles_2=1,
                                            singles_3=1, coinc_12=1, coinc_13=1,
                                            acc_12=1, acc_13=1)
-                records.append(pl.PowerPointRecord(p_ave=p, tallies=tallies, gates=gates))
+                records.append(pl.PowerPointRecord(p_ave=p, tallies=tallies))
             fit = pl.fit_quadratic(records)
             assert abs(fit.s1 - s1) <= 1e-10
             assert abs(fit.s2 - s2) <= 1e-10

@@ -57,10 +57,10 @@ class TestPatternConstruction:
         config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
         model = build_pulse_model(config)
         counts, _ = full_report(config)
-        marg = model.marginals()
-        assert marg[0] == pytest.approx(counts.p1, abs=1e-12)
-        assert marg[1] == pytest.approx(counts.p2, abs=1e-12)
-        assert marg[2] == pytest.approx(counts.p3, abs=1e-12)
+        joint = mc._joint_probs(model.pattern_probs)
+        assert joint["p1"] == pytest.approx(counts.p1, abs=1e-12)
+        assert joint["p2"] == pytest.approx(counts.p2, abs=1e-12)
+        assert joint["p3"] == pytest.approx(counts.p3, abs=1e-12)
         assert model.pattern_probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     @given(weights=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
@@ -100,7 +100,7 @@ class TestPatternConstruction:
         config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
         model = build_pulse_model(config, source="gaussian_oracle")
         clicks = gaussian_click_probs(config, order="all_order")
-        assert model.marginals()[0] == pytest.approx(clicks.p1, abs=1e-12)
+        assert mc._joint_probs(model.pattern_probs)["p1"] == pytest.approx(clicks.p1, abs=1e-12)
         # threshold-click and count currencies differ at the permille level
         analytic = build_pulse_model(config, source="analytic").pattern_probs
         assert 1e-6 < np.max(np.abs(model.pattern_probs - analytic)) < 2e-3
@@ -108,7 +108,6 @@ class TestPatternConstruction:
     def test_power_driven_raman_model(self, symmetric):
         config = symmetric(1.0, 1.0, 0.0, det_efficiencies=EFF)
         model = build_pulse_model(config, raman=(0.08, 0.05, 0.9))
-        assert model.raman_idler_mean == pytest.approx(0.072)
         assert model.extra_click_probs[1] == model.extra_click_probs[2] == 0.0
         # pair part: mean idler photons reaching the band = s2 p^2
         g2 = gain_for_power(0.05, 0.9, 1.0)

@@ -38,7 +38,7 @@ def exact_record(p_ave, rate, gates=EXACT_GATES):
         gates=gates, singles_1=counts, singles_2=10, singles_3=10,
         coinc_12=5, coinc_13=5, coinc_23=1, acc_12=2, acc_13=2, triples_123=0,
     )
-    return PowerPointRecord(p_ave=p_ave, tallies=tallies, gates=gates)
+    return PowerPointRecord(p_ave=p_ave, tallies=tallies)
 
 
 class TestRecordsCsv:
@@ -52,9 +52,7 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         write_power_records(path, records)
         loaded = read_power_records(path)
-        assert loaded == [
-            PowerPointRecord(r.p_ave, r.tallies, r.gates, config_id="") for r in records
-        ]
+        assert loaded == [PowerPointRecord(r.p_ave, r.tallies) for r in records]
 
     def test_empty_file_warns(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -121,9 +119,7 @@ class TestQuadraticFit:
         tallies = TallyCounters(
             gates=1000, singles_1=10, singles_2=30, singles_3=20,
         )
-        records = [
-            PowerPointRecord(p_ave=p, tallies=tallies, gates=1000) for p in (0.5, 1.0, 2.0)
-        ]
+        records = [PowerPointRecord(p_ave=p, tallies=tallies) for p in (0.5, 1.0, 2.0)]
         fit = fit_quadratic(records, band="signal")
         # constant data across powers: fitted curve passes near the mean
         assert fit.evaluate(1.0) == pytest.approx(0.05, rel=0.5)
@@ -140,7 +136,7 @@ class TestQuadraticFit:
                 n = int(rng.poisson(lam))
                 tallies = TallyCounters(gates=gates, singles_1=n, singles_2=1, singles_3=1,
                                         coinc_12=1, coinc_13=1, acc_12=1, acc_13=1)
-                records.append(PowerPointRecord(p_ave=p, tallies=tallies, gates=gates))
+                records.append(PowerPointRecord(p_ave=p, tallies=tallies))
             fit = fit_quadratic(records)
             pulls_s1.append(fit.s1 - s1)
             pulls_s2.append(fit.s2 - s2)

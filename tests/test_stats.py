@@ -4,22 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsps.config import ModelValidityError, ConfigWarning
+from hsps.config import ModelValidityError, ConfigWarning, load_config, make_symmetric_config
 from hsps import stats
 from hsps.stats import (
-    CountProbabilities,
     car,
-    coincidence_prob,
     collection_efficiency,
     full_report,
     heralded_g2_approx,
-    heralded_g2_exact,
-    heralding_efficiencies,
-    herald_singles_prob,
     pair_rate,
-    signal_singles_prob,
-    triple_coincidence_prob,
-    two_pair_collection_efficiency,
     unconditional_g2,
 )
 
@@ -36,67 +28,102 @@ GS2_03 = 1.978231976089037
 GS2_1 = 1.8164965809277263
 
 
+def full_report_from_sigma(sig_s, sig_i, g2, **kwargs):
+    return full_report(make_symmetric_config(sig_s, sig_i, g2, **kwargs))
+
+
+def two_pair_factor(sig_s, sig_i):
+    """xi' = sqrt(2) sig_s / sqrt(4 + 2 sig_i^2 + sig_s^2)."""
+    return math.sqrt(2.0) * sig_s / math.sqrt(4.0 + 2.0 * sig_i**2 + sig_s**2)
+
+
+def recovered_two_pair_factor(counts, figures):
+    """xi' read back from the triple terms: bunching / (g_s2 - 1) is the
+    accidental term plus xi' times pair_single / xi."""
+    excess = counts.p123_bunching / (figures.g_s2 - 1.0) - counts.p123_accidental
+    return excess * figures.heralding_eff / counts.p123_pair_single
+
+
 class TestSingles:
     def test_no_gain_no_counts(self):
-        assert herald_singles_prob(0.0, 1.0, 1.0, 1.0) == 0.0
-        assert signal_singles_prob(0.0, 1.0, 1.0, 1.0) == 0.0
+        counts, _ = full_report_from_sigma(1.0, 1.0, 0.0)
+        assert counts.p1 == counts.p2 == counts.p3 == 0.0
 
     def test_symmetric_fixture(self):
-        assert herald_singles_prob(0.01, 1.0, 1.0, 1.0) == pytest.approx(P1_SYM, rel=1e-12)
-        assert signal_singles_prob(0.01, 1.0, 1.0, 1.0) == pytest.approx(P2_SYM, rel=1e-12)
+        counts, _ = full_report_from_sigma(1.0, 1.0, 0.01)
+        assert counts.p1 == pytest.approx(P1_SYM, rel=1e-12)
+        assert counts.p2 == pytest.approx(P2_SYM, rel=1e-12)
 
     def test_signal_is_half_of_herald(self):
         # the 50/50 split halves the per-arm rate at equal efficiencies
-        p1 = herald_singles_prob(0.007, 0.8, 0.3, 1.3)
-        p2 = signal_singles_prob(0.007, 0.8, 0.3, 1.3)
-        assert p2 == pytest.approx(p1 / 2.0, rel=1e-12)
+        counts, _ = full_report_from_sigma(
+            1.3, 1.3, 0.007, eta_signal=0.8, eta_idler=0.8, det_efficiencies=(0.3, 0.3, 0.3)
+        )
+        assert counts.p2 == pytest.approx(counts.p1 / 2.0, rel=1e-12)
 
     def test_linear_in_bandwidth(self):
-        assert herald_singles_prob(0.01, 1, 1, 2.0) == pytest.approx(
-            2 * herald_singles_prob(0.01, 1, 1, 1.0), rel=1e-12
-        )
+        narrow, _ = full_report_from_sigma(1.0, 1.0, 0.01)
+        broad, _ = full_report_from_sigma(1.0, 2.0, 0.01)
+        assert broad.p1 == pytest.approx(2 * narrow.p1, rel=1e-12)
 
     def test_probability_guard(self):
-        with pytest.raises(ModelValidityError):
-            herald_singles_prob(0.5, 1.0, 1.0, 10.0)
+        # sqrt(2) pi g2 sigma_i' > 1 on the herald alone
+        with pytest.raises(ModelValidityError, match="p1"):
+            full_report_from_sigma(1.0, 8.0, 0.03)
 
 
 class TestCollectionFactors:
     def test_values(self):
         assert collection_efficiency(1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
         assert collection_efficiency(0.3, 0.3) == pytest.approx(0.2031856384435789, rel=1e-12)
-        assert two_pair_collection_efficiency(1.0, 1.0) == pytest.approx(
-            0.5345224838248488, rel=1e-12
-        )
-        assert two_pair_collection_efficiency(0.3, 0.3) == pytest.approx(
-            0.20531577324874647, rel=1e-12
-        )
+
+    @pytest.mark.parametrize(
+        "sigma, expected", [(1.0, 0.5345224838248488), (0.3, 0.20531577324874647)]
+    )
+    def test_two_pair_values(self, sigma, expected):
+        assert two_pair_factor(sigma, sigma) == pytest.approx(expected, rel=1e-12)
+        counts, figures = full_report_from_sigma(sigma, sigma, 0.01)
+        assert recovered_two_pair_factor(counts, figures) == pytest.approx(expected, rel=1e-12)
+
+    def test_full_report_matches_the_elementwise_forms(self):
+        # full_report evaluates xi and g_s2 itself; the sweep functions agree
+        for sig_s, sig_i in ((0.3, 2.0), (1.0, 1.0), (2.5, 0.4)):
+            _, figures = full_report_from_sigma(sig_s, sig_i, 0.01)
+            assert figures.heralding_eff == collection_efficiency(sig_s, sig_i)
+            assert figures.g_s2 == unconditional_g2(sig_s)
 
     def test_broad_signal_limits(self):
         assert collection_efficiency(1e6, 1.0) == pytest.approx(1.0, rel=1e-9)
+        assert two_pair_factor(1e6, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-9)
+        config = make_symmetric_config(40.0, 0.2, 1e-6)
         with pytest.warns(ConfigWarning, match="two-pair"):
-            value = two_pair_collection_efficiency(1e6, 1.0)
-        assert value == pytest.approx(math.sqrt(2.0), rel=1e-9)
+            counts, figures = full_report(config)
+        assert recovered_two_pair_factor(counts, figures) == pytest.approx(
+            two_pair_factor(40.0, 0.2), rel=1e-9
+        )
 
 
 class TestCoincidence:
     def test_degenerate_collection_is_accidental(self):
-        assert coincidence_prob(0.01, 0.02, 1.0, 1.0, 0.0) == pytest.approx(0.0002, rel=1e-12)
+        counts = stats._assemble_counts(0.01, 0.02, 0.02, 0.0, 0.0, 0.0, 0.0)
+        assert counts.p12 == pytest.approx(0.0002, rel=1e-12)
+        assert counts.p12 == counts.p12_acc
 
     def test_symmetric_fixture(self):
-        assert coincidence_prob(P1_SYM, P2_SYM, 1.0, 1.0, 0.5) == pytest.approx(
-            P12_SYM, rel=1e-12
-        )
+        counts, _ = full_report_from_sigma(1.0, 1.0, 0.01)
+        assert counts.p12 == pytest.approx(P12_SYM, rel=1e-12)
 
     @given(
-        p1=st.floats(1e-6, 0.05),
-        p2=st.floats(1e-6, 0.05),
+        g2=st.floats(1e-6, 0.02),
+        sig_s=st.floats(0.2, 2.5),
+        sig_i=st.floats(0.2, 2.5),
         eta=st.floats(0.01, 1.0),
-        xi=st.floats(0.0, 0.9),
     )
-    @settings(max_examples=200)
-    def test_never_below_accidental(self, p1, p2, eta, xi):
-        assert coincidence_prob(p1, p2, eta, eta, xi) >= p1 * p2
+    @settings(max_examples=200, deadline=None)
+    def test_never_below_accidental(self, g2, sig_s, sig_i, eta):
+        counts, _ = full_report_from_sigma(sig_s, sig_i, g2, det_efficiencies=(eta, eta, eta))
+        assert counts.p12 >= counts.p1 * counts.p2
+        assert counts.p13 >= counts.p1 * counts.p3
 
 
 class TestCar:
@@ -138,42 +165,39 @@ class TestBandAutocorrelation:
 
 
 class TestTripleCoincidence:
+    # _assemble_counts is the one assembly of the closed form and the
+    # leading-order oracles; these cases feed it directly
     def test_poissonian_signal_kills_bunching(self):
-        terms = triple_coincidence_prob(0.01, 0.005, 0.005, 1, 1, 1, 0.5, 0.53, g_s2=1.0)
-        assert terms.bunching == 0.0
+        counts = stats._assemble_counts(
+            0.01, 0.005, 0.005, t12=0.0025, t13=0.0025, bunch23=0.0, w4=0.0
+        )
+        assert counts.p123_bunching == 0.0
+        assert counts.p23 == counts.p2 * counts.p3
 
     def test_symmetric_fixture_term_by_term(self):
-        terms = triple_coincidence_prob(
-            P1_SYM, P2_SYM, P2_SYM, 1.0, 1.0, 1.0,
-            xi=0.5, xi_two_pair=0.5345224838248488, g_s2=GS2_1,
-        )
-        assert terms.accidental == pytest.approx(TRIPLE_ACC, rel=1e-12)
-        assert terms.pair_single == pytest.approx(TRIPLE_PS, rel=1e-12)
-        assert terms.bunching == pytest.approx(TRIPLE_BUN, rel=1e-12)
+        counts, _ = full_report_from_sigma(1.0, 1.0, 0.01)
+        assert counts.p123_accidental == pytest.approx(TRIPLE_ACC, rel=1e-12)
+        assert counts.p123_pair_single == pytest.approx(TRIPLE_PS, rel=1e-12)
+        assert counts.p123_bunching == pytest.approx(TRIPLE_BUN, rel=1e-12)
 
     def test_zero_collection_degenerates_to_bunched_accidentals(self):
-        terms = triple_coincidence_prob(0.01, 0.004, 0.005, 1, 1, 1, 0.0, 0.0, g_s2=1.7)
-        assert terms.total == pytest.approx(1.7 * 0.01 * 0.004 * 0.005, rel=1e-12)
+        p1, p2, p3 = 0.01, 0.004, 0.005
+        counts = stats._assemble_counts(
+            p1, p2, p3, t12=0.0, t13=0.0, bunch23=0.7 * p2 * p3, w4=0.0
+        )
+        assert counts.p123 == pytest.approx(1.7 * p1 * p2 * p3, rel=1e-12)
 
 
 class TestHeraldedG2:
-    def _counts(self, scale_eta_1=1.0):
-        p1 = P1_SYM * scale_eta_1
-        p12 = p1 * P2_SYM + 0.5 * p1 * 0.5
-        p123 = (TRIPLE_ACC + TRIPLE_PS + TRIPLE_BUN) * scale_eta_1
-        return CountProbabilities(
-            p1=p1, p2=P2_SYM, p3=P2_SYM, p12=p12, p13=p12, p23=GS2_1 * P2_SYM**2,
-            p12_acc=p1 * P2_SYM, p13_acc=p1 * P2_SYM, p123=p123,
-        )
-
     def test_symmetric_fixture(self):
-        assert heralded_g2_exact(self._counts()) == pytest.approx(GC2_EXACT_SYM, rel=1e-12)
+        _, figures = full_report_from_sigma(1.0, 1.0, 0.01)
+        assert figures.g_c2_exact == pytest.approx(GC2_EXACT_SYM, rel=1e-12)
 
     def test_invariant_under_herald_efficiency(self):
         # P1 appears once up and once down: any eta_1 rescaling cancels
-        assert heralded_g2_exact(self._counts(0.37)) == pytest.approx(
-            heralded_g2_exact(self._counts()), rel=1e-12
-        )
+        _, base = full_report_from_sigma(1.0, 1.0, 0.01)
+        _, scaled = full_report_from_sigma(1.0, 1.0, 0.01, det_efficiencies=(0.37, 1.0, 1.0))
+        assert scaled.g_c2_exact == pytest.approx(base.g_c2_exact, rel=1e-12)
 
     def test_ideal_source_limit(self):
         _, figures = full_report_from_sigma(1.0, 1.0, 1e-8)
@@ -187,15 +211,22 @@ class TestHeraldedG2:
 
 class TestHeraldingAndPairRate:
     def test_arithmetic(self):
-        eta_d, h = heralding_efficiencies(1.0, 1.0, 0.5)
-        assert (eta_d, h) == (0.25, 0.5)
+        _, figures = full_report_from_sigma(1.0, 1.0, 0.01)
+        assert (figures.eta_d, figures.heralding_eff) == (0.25, 0.5)
 
     def test_narrowband_value(self):
-        _, h = heralding_efficiencies(0.4, 0.9, collection_efficiency(0.3, 0.3))
-        assert h == pytest.approx(0.2031856384435789, rel=1e-12)
+        _, figures = full_report_from_sigma(
+            0.3, 0.3, 0.01, eta_signal=0.4, det_efficiencies=(1.0, 0.9, 0.9)
+        )
+        assert figures.heralding_eff == pytest.approx(0.2031856384435789, rel=1e-12)
 
     def test_h_ignores_efficiencies(self):
-        assert heralding_efficiencies(0.1, 0.2, 0.5)[1] == heralding_efficiencies(1, 1, 0.5)[1]
+        _, lossy = full_report_from_sigma(
+            1.0, 1.0, 0.01, eta_signal=0.1, det_efficiencies=(1.0, 0.2, 1.0)
+        )
+        _, lossless = full_report_from_sigma(1.0, 1.0, 0.01)
+        assert lossy.heralding_eff == lossless.heralding_eff
+        assert lossy.eta_d == pytest.approx(0.5 * 0.1 * 0.2 * 0.5, rel=1e-12)
 
     def test_pair_rate(self):
         assert pair_rate(P1_SYM, 1.0, 1.0, 0.5) == pytest.approx(P2_SYM, rel=1e-12)
@@ -208,13 +239,60 @@ class TestHeraldingAndPairRate:
         assert scaled == pytest.approx(base, rel=1e-12)
 
 
-def full_report_from_sigma(sig_s, sig_i, g2, **kwargs):
-    from hsps.config import make_symmetric_config
-
-    return full_report(make_symmetric_config(sig_s, sig_i, g2, **kwargs))
+# every full_report field of the shipped configs, frozen at 1e-14: a change
+# to any closed form (a center-mismatch factor, say) shows up here
+SHIPPED_REPORTS = {
+    "configs/demo.json": {
+        "car": 15.224152792587587,
+        "eta_d": 0.0056914434325743045,
+        "g_c2_approx": 0.2007684591941969,
+        "g_c2_exact": 0.20901450069365823,
+        "g_s2": 1.5801613785069453,
+        "heralding_eff": 0.6273636940668325,
+        "p1": 0.0029376410360451273,
+        "p12": 1.789484228872904e-05,
+        "p123": 3.2277591169930246e-08,
+        "p123_accidental": 6.662825382887772e-10,
+        "p123_bunching": 1.2656699376336155e-08,
+        "p123_pair_single": 1.895460925530531e-08,
+        "p12_acc": 1.1754245068692277e-06,
+        "p13": 2.5351026575699478e-05,
+        "p13_acc": 1.6651847180647396e-06,
+        "p2": 0.00040012530205244966,
+        "p23": 3.5839434473413563e-07,
+        "p3": 0.0005668441779076371,
+        "p_pair": 0.02812834756128797,
+    },
+    "configs/symmetric.json": {
+        "car": 15.234674751477277,
+        "eta_d": 0.03763478160456619,
+        "g_c2_approx": 0.20067977922273167,
+        "g_c2_exact": 0.20892195055663737,
+        "g_s2": 1.5805179725692002,
+        "heralding_eff": 0.6272463600761031,
+        "p1": 0.008958895840817436,
+        "p12": 0.0003608523400419856,
+        "p123": 4.3018603878551634e-06,
+        "p123_accidental": 8.871679953799194e-08,
+        "p123_bunching": 1.6874340154865215e-06,
+        "p123_pair_single": 2.52570957283065e-06,
+        "p12_acc": 2.3686251654765026e-05,
+        "p13": 0.0005112074817261463,
+        "p13_acc": 3.355552317758379e-05,
+        "p2": 0.0026438806830244186,
+        "p23": 1.565131447334934e-05,
+        "p3": 0.003745497634284593,
+        "p_pair": 0.028097174032268378,
+    },
+}
 
 
 class TestFullReport:
+    @pytest.mark.parametrize("path", sorted(SHIPPED_REPORTS))
+    def test_shipped_configs_frozen(self, path):
+        doc = stats.report_to_dict(*full_report(load_config(path)))
+        assert doc == pytest.approx(SHIPPED_REPORTS[path], rel=1e-14, abs=0)
+
     def test_symmetric_regression(self):
         counts, figures = full_report_from_sigma(1.0, 1.0, 0.01)
         assert counts.p1 == pytest.approx(P1_SYM, rel=1e-9)
@@ -252,12 +330,11 @@ class TestFullReport:
     @settings(max_examples=150, deadline=None)
     def test_car_identity(self, g2, sig_s, sig_i, eta_s, eta_1):
         # CAR from the bandwidth formula equals p12 / (p1 p2) identically
-        p1 = herald_singles_prob(g2, eta_s, eta_1, sig_i)
-        p2 = signal_singles_prob(g2, eta_s, 0.8, sig_s)
-        xi = collection_efficiency(sig_s, sig_i)
-        p12 = coincidence_prob(p1, p2, eta_s, 0.8, xi)
-        p_pair = pair_rate(p1, eta_s, eta_1, xi)
-        assert car(p_pair, sig_s, sig_i) == pytest.approx(p12 / (p1 * p2), rel=1e-12)
+        _, figures = full_report_from_sigma(
+            sig_s, sig_i, g2, eta_signal=eta_s, eta_idler=eta_s,
+            det_efficiencies=(eta_1, 0.8, 0.8),
+        )
+        assert car(figures.p_pair, sig_s, sig_i) == pytest.approx(figures.car, rel=1e-12)
 
     def test_heralding_monotonic_in_bandwidths(self):
         # H rises with the signal bandwidth and falls with the idler bandwidth
@@ -313,12 +390,8 @@ class TestFullReport:
         # closed-form prediction of the large-CAR limit of approx/exact
         sig_s, sig_i = 2.0, 0.3
         g_s2 = unconditional_g2(sig_s)
-        ratio_limit = g_s2 / (
-            1.0
-            + (g_s2 - 1.0)
-            * two_pair_collection_efficiency(sig_s, sig_i)
-            / collection_efficiency(sig_s, sig_i)
-        )
+        xi2 = two_pair_factor(sig_s, sig_i)
+        ratio_limit = g_s2 / (1.0 + (g_s2 - 1.0) * xi2 / collection_efficiency(sig_s, sig_i))
         _, figures = full_report_from_sigma(sig_s, sig_i, 1e-5)
         assert figures.g_c2_approx / figures.g_c2_exact == pytest.approx(
             ratio_limit, abs=1e-3
