@@ -24,14 +24,14 @@ Key quantities:
     H         = xi                                          heralding eff.
 
 :func:`full_report` is the one place these formulas are evaluated for a
-configuration: it hands the singles, the true pair terms, the band
-bunching and the two-pair term to :func:`_assemble_counts`, which the
-leading-order oracles share, and its :class:`CountProbabilities` rejects
-any value outside [0, 1] with ModelValidityError.  Dark counts are
+configuration: it takes xi and g_s2 from :func:`collection_efficiency` and
+:func:`unconditional_g2` (which the sweeps call on numpy arrays of
+bandwidths), computes the singles and xi' itself, and hands the true pair
+terms, the band bunching and the two-pair term to :func:`_assemble_counts`,
+which the leading-order oracles share.  Its :class:`CountProbabilities`
+rejects any value outside [0, 1] with ModelValidityError.  Dark counts are
 deliberately absent from these formulas; they belong to the Monte Carlo
-model and the experimental correction chain.  car, xi, g_s2 and the
-approximate gc2 also exist as elementwise functions of numpy arrays of
-bandwidths, for the sweeps.
+model and the experimental correction chain.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
     p1 = _SQRT2_PI * g2 * eta_i * eta_1 * sig_i
     p2 = _PI_OVER_SQRT2 * g2 * eta_s * eta_2 * sig_s
     p3 = _PI_OVER_SQRT2 * g2 * eta_s * eta_3 * sig_s
-    xi = sig_s / math.sqrt(2.0 + sig_i**2 + sig_s**2)
+    xi = float(collection_efficiency(sig_s, sig_i))
     # xi' exceeds 1 for very broad signal filters, where the two-pair
     # factorization stops being a probability
     xi2 = math.sqrt(2.0) * sig_s / math.sqrt(4.0 + 2.0 * sig_i**2 + sig_s**2)
@@ -189,7 +189,7 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
             ConfigWarning,
             stacklevel=2,
         )
-    g_s2 = 1.0 + 1.0 / math.sqrt(1.0 + sig_s**2 / 2.0)
+    g_s2 = float(unconditional_g2(sig_s))
 
     counts = _assemble_counts(
         p1, p2, p3,

@@ -85,13 +85,6 @@ class TestCollectionFactors:
         counts, figures = full_report_from_sigma(sigma, sigma, 0.01)
         assert recovered_two_pair_factor(counts, figures) == pytest.approx(expected, rel=1e-12)
 
-    def test_full_report_matches_the_elementwise_forms(self):
-        # full_report evaluates xi and g_s2 itself; the sweep functions agree
-        for sig_s, sig_i in ((0.3, 2.0), (1.0, 1.0), (2.5, 0.4)):
-            _, figures = full_report_from_sigma(sig_s, sig_i, 0.01)
-            assert figures.heralding_eff == collection_efficiency(sig_s, sig_i)
-            assert figures.g_s2 == unconditional_g2(sig_s)
-
     def test_broad_signal_limits(self):
         assert collection_efficiency(1e6, 1.0) == pytest.approx(1.0, rel=1e-9)
         assert two_pair_factor(1e6, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-9)
