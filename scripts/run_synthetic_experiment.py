@@ -75,7 +75,7 @@ def main():
         p_target = sqrt(args.p_pair / (s2 * xi))
         powers = [round(f * p_target, 6) for f in (0.6, 0.8, 1.0, 1.2, 1.4)]
         records = pipeline.synthesize_power_sweep(
-            config, s1, s2, powers, args.pulses, seed=args.seed, config_id=label
+            config, s1, s2, powers, args.pulses, seed=args.seed
         )
         raw_path = args.out_dir / f"records_{label}.csv"
         pipeline.write_power_records(raw_path, records)

@@ -5,8 +5,9 @@ that writes an output file also writes a manifest JSON next to it
 (<output>.manifest.json) recording the subcommand, config path, seed and
 tool version, so runs are reproducible from their artifacts alone.
 
-Exit codes: 0 success, 1 validation or input error, 2 model-validity error
-(a probability left [0, 1], the low-gain closed forms do not apply).
+Exit codes: 0 success (--help and --version too), 1 validation, input or
+usage error (a missing required option, an unknown flag), 2 model-validity
+error (a probability left [0, 1], the low-gain closed forms do not apply).
 
 Set HSPS_LOG=debug for verbose progress on stderr.
 """
@@ -92,7 +93,7 @@ def cmd_report(args) -> int:
 
 def cmd_sweep(args) -> int:
     lo, hi, step = _parse_grid(args.grid)
-    grid = pipeline_mod.sweep_contour(args.p_pair, (lo, hi), (lo, hi), step)
+    grid = pipeline_mod.sweep_contour(args.p_pair, (lo, hi), step)
     pipeline_mod.write_contour_csv(grid, args.out, {"seed": args.seed})
     _write_manifest(args.out, args, "sweep")
     log.info("contour grid %dx%d written to %s", grid.sigma_s_values.size,
@@ -171,7 +172,7 @@ def cmd_fit(args) -> int:
 def cmd_correct(args) -> int:
     config = load_config(args.config)
     records = pipeline_mod.read_power_records(args.data)
-    fit = pipeline_mod.fit_quadratic(records, band=args.band)
+    fit = pipeline_mod.fit_quadratic(records)
     corrected = pipeline_mod.raman_correct(records, fit, config)
     pipeline_mod.write_corrected_csv(
         corrected, args.out, {"fit_s1": fit.s1, "fit_s2": fit.s2, "data": args.data}
@@ -244,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_corr = add("correct", cmd_correct, "Raman-corrected estimates from a record CSV",
                  needs_out_file=True)
     p_corr.add_argument("--data", required=True, help="power-record CSV")
-    p_corr.add_argument("--band", choices=("idler", "signal"), default="idler")
 
     return parser
 
@@ -255,7 +255,8 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code or 0)
+        # argparse's usage-error code 2 is this tool's model-validity code
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ModelValidityError as exc:

@@ -287,33 +287,30 @@ def make_symmetric_config(
     dark: tuple[float, float, float] = (0.0, 0.0, 0.0),
     gate_divisor: int = 1,
     dead_time_gates: int = 0,
-    detuning_sigmas: float = 60.0,
-    sigma_p: float = 1.0,
 ) -> SourceConfig:
     """Build an exactly energy-matched config in normalized units.
 
-    Used by tests and oracles: filter centers sit symmetrically about the
-    pump carrier at +-detuning_sigmas pump widths, so the closed forms apply
-    with no center-mismatch correction.  The carrier is placed at a tiny
-    angular frequency (1e4 * sigma_p) so center symmetry survives the nm
-    round-trip at double precision.
+    Used by tests and oracles: the pump width is 1, and the filter centers
+    sit symmetrically about the pump carrier at +-60 pump widths, so the
+    closed forms apply with no center-mismatch correction.  The carrier is
+    placed at a tiny angular frequency (1e4 pump widths) so center symmetry
+    survives the nm round-trip at double precision.
     """
-    omega_p = 1e4 * sigma_p
-    delta = detuning_sigmas * sigma_p
+    omega_p = 1e4
     pump = PumpSpec(
         center_wavelength=TWO_PI_C_NM / omega_p,
-        bandwidth_sigma=sigma_p,
+        bandwidth_sigma=1.0,
         peak_power=1.0,
         repetition_rate=41e6,
     )
     signal = FilterSpec(
-        center_wavelength=TWO_PI_C_NM / (omega_p + delta),
-        sigma=sigma_s_prime * sigma_p,
+        center_wavelength=TWO_PI_C_NM / (omega_p + 60.0),
+        sigma=float(sigma_s_prime),
         transmission=eta_signal,
     )
     idler = FilterSpec(
-        center_wavelength=TWO_PI_C_NM / (omega_p - delta),
-        sigma=sigma_i_prime * sigma_p,
+        center_wavelength=TWO_PI_C_NM / (omega_p - 60.0),
+        sigma=float(sigma_i_prime),
         transmission=eta_idler,
     )
     detectors = tuple(

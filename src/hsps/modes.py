@@ -11,7 +11,7 @@ is governed by the band's autocorrelation kernel f(w) f(w') exp(-(w-w')^2 /
 (8 sigma_p^2)), whose eigenvalue participation K_eff fixes the measurable
 autocorrelation through g2 = 1 + 1/K_eff; the closed form is
 g2 = 1 + 1/sqrt(1 + sig'^2/2).  A band is treated as single-mode when its
-K_eff stays below a threshold (1.05 by default, i.e. g2 above 1.95).
+K_eff stays at or below 1.05 (SINGLE_MODE_K_MAX), i.e. g2 above 1.95.
 """
 
 from __future__ import annotations
@@ -94,17 +94,13 @@ def schmidt(matrix: np.ndarray) -> SchmidtResult:
     return SchmidtResult(coefficients=lam, schmidt_number=1.0 / float(np.sum(lam**2)))
 
 
-def marginal_mode_number(
-    config: SourceConfig,
-    band: str,
-    grid: FrequencyGrid | None = None,
-) -> float:
+def marginal_mode_number(config: SourceConfig, band: str) -> float:
     """Effective mode number of one band's filtered autocorrelation kernel.
 
     band is "signal" or "idler".  K_eff = (sum mu)^2 / sum(mu^2) over the
     kernel eigenvalues; it depends only on this band's filter and the pump,
     not on the conjugate filter, and satisfies 1 + 1/K_eff = g2(band)
-    within discretization error.
+    within discretization error, on the band's default grid.
     """
     if band == "signal":
         filt, grid_index = config.signal_filter, 0
@@ -112,9 +108,7 @@ def marginal_mode_number(
         filt, grid_index = config.idler_filter, 1
     else:
         raise ValueError(f"band must be 'signal' or 'idler', got {band!r}")
-    if grid is None:
-        grid = make_default_grids(config)[grid_index]
-    w = grid.points()
+    w = make_default_grids(config)[grid_index].points()
     f = filter_amplitude(w, filt)
     kernel = np.outer(f, f) * np.exp(
         -np.subtract.outer(w, w) ** 2 / (8.0 * config.pump.bandwidth_sigma**2)
@@ -123,7 +117,7 @@ def marginal_mode_number(
     return float(np.trace(kernel) ** 2 / np.sum(kernel * kernel))
 
 
-def mode_report(config: SourceConfig, threshold: float = SINGLE_MODE_K_MAX) -> ModeReport:
+def mode_report(config: SourceConfig) -> ModeReport:
     """Full mode-structure report for one configuration, on the default grids.
 
     The heralded-state purity is 1/K of the filtered joint amplitude (the
@@ -138,10 +132,10 @@ def mode_report(config: SourceConfig, threshold: float = SINGLE_MODE_K_MAX) -> M
         schmidt_number=decomposition.schmidt_number,
         g2_signal_pred=1.0 + 1.0 / k_signal,
         g2_idler_pred=1.0 + 1.0 / k_idler,
-        single_mode_heralding=k_idler <= threshold,
-        single_mode_heralded=k_signal <= threshold,
+        single_mode_heralding=k_idler <= SINGLE_MODE_K_MAX,
+        single_mode_heralded=k_signal <= SINGLE_MODE_K_MAX,
         heralded_purity=1.0 / decomposition.schmidt_number,
-        threshold=threshold,
+        threshold=SINGLE_MODE_K_MAX,
     )
 
 
@@ -163,29 +157,22 @@ class StrategyCurve:
 
 @dataclass(frozen=True)
 class IndistinguishabilityReport:
-    p_pair: float
-    fixed_sigma: float
     curves: tuple[StrategyCurve, StrategyCurve]
     better_g2_strategy: str
     better_h_strategy: str
 
 
-def indistinguishability_report(
-    p_pair: float,
-    fixed_sigma: float = 0.3,
-    free_values: np.ndarray | None = None,
-) -> IndistinguishabilityReport:
+def indistinguishability_report(p_pair: float) -> IndistinguishabilityReport:
     """Compare the two single-mode filter strategies at fixed pair rate.
 
-    Strategy "narrow_idler" pins the herald band at fixed_sigma and sweeps
-    the signal bandwidth; "narrow_signal" is the mirror image.  Both give
-    the same CAR at mirrored bandwidths (the CAR is symmetric in the two
-    bands) but different heralding efficiency, which favors narrowing the
-    heralding band.
+    Strategy "narrow_idler" pins the herald band at 0.3 pump widths and
+    sweeps the signal bandwidth from 0.1 to 3.0 in steps of 0.05;
+    "narrow_signal" is the mirror image.  Both give the same CAR at mirrored
+    bandwidths (the CAR is symmetric in the two bands) but different
+    heralding efficiency, which favors narrowing the heralding band.
     """
-    if free_values is None:
-        free_values = np.arange(0.1, 3.0001, 0.05)
-    free_values = np.asarray(free_values, dtype=float)
+    fixed_sigma = 0.3
+    free_values = np.arange(0.1, 3.0001, 0.05)
 
     def curve(strategy: str) -> StrategyCurve:
         if strategy == NARROW_IDLER:
@@ -201,8 +188,6 @@ def indistinguishability_report(
     better_g2 = NARROW_IDLER if idler_curve.g_c2.min() <= signal_curve.g_c2.min() else NARROW_SIGNAL
     better_h = NARROW_IDLER if idler_curve.h.max() >= signal_curve.h.max() else NARROW_SIGNAL
     return IndistinguishabilityReport(
-        p_pair=p_pair,
-        fixed_sigma=fixed_sigma,
         curves=(idler_curve, signal_curve),
         better_g2_strategy=better_g2,
         better_h_strategy=better_h,

@@ -68,7 +68,6 @@ RECORD_COLUMNS = (
 class PowerPointRecord:
     p_ave: float                   # average pump power, mW
     tallies: TallyCounters
-    config_id: str = ""
 
     def __post_init__(self):
         if self.p_ave <= 0:
@@ -333,14 +332,15 @@ def synthesize_power_sweep(
     s1 and s2 are photon-level coefficients (mean photons per pulse reaching
     the idler band, per mW and per mW^2); detected-count coefficients come
     out scaled by the herald path efficiency, which is what the quadratic
-    fit recovers.  The simulation runs on one thread; workers has no effect
-    and is kept only because the benchmark's sweep_reduce workload passes it.
+    fit recovers.  The simulation runs on one thread; config_id and workers
+    have no effect and are kept only because the benchmark's sweep_reduce
+    workload passes them.
     """
     records = []
     for k, p_ave in enumerate(powers):
         model = build_pulse_model(config, source="analytic", raman=(s1, s2, float(p_ave)))
         tallies = simulate(model, pulses_per_point, seed=seed + 7919 * k)
-        records.append(PowerPointRecord(p_ave=float(p_ave), tallies=tallies, config_id=config_id))
+        records.append(PowerPointRecord(p_ave=float(p_ave), tallies=tallies))
     return records
 
 
@@ -370,28 +370,28 @@ class ContourGrid:
 
 def sweep_contour(
     p_pair: float,
-    sigma_s_range: tuple[float, float] = (0.1, 3.0),
-    sigma_i_range: tuple[float, float] = (0.1, 3.0),
+    sigma_range: tuple[float, float] = (0.1, 3.0),
     step: float = 0.05,
 ) -> ContourGrid:
     """CAR, approximate heralded g2 and heralding efficiency surfaces over
-    the normalized-bandwidth plane at fixed pair rate.
+    the normalized-bandwidth plane at fixed pair rate; both bandwidth axes
+    run over sigma_range = (min, max).
 
     H carries no p_pair dependence, so its surface is identical across
     sweeps at different pair rates.
     """
+    lo, hi = sigma_range
     if p_pair <= 0:
         raise PipelineError("p_pair must be positive")
-    if step <= 0 or sigma_s_range[0] <= 0 or sigma_i_range[0] <= 0:
-        raise PipelineError("ranges and step must be positive")
-    sig_s = np.arange(sigma_s_range[0], sigma_s_range[1] + step / 2, step)
-    sig_i = np.arange(sigma_i_range[0], sigma_i_range[1] + step / 2, step)
-    car_surf = car_closed_form(p_pair, sig_s[:, None], sig_i[None, :])
-    g2_surf = heralded_g2_approx(unconditional_g2(sig_s)[:, None], car_surf)
-    h_surf = collection_efficiency(sig_s[:, None], sig_i[None, :])
+    if not (step > 0 and 0 < lo <= hi):
+        raise PipelineError(f"need 0 < min <= max and step > 0, got {lo}:{hi}:{step}")
+    sig = np.arange(lo, hi + step / 2, step)
+    car_surf = car_closed_form(p_pair, sig[:, None], sig[None, :])
+    g2_surf = heralded_g2_approx(unconditional_g2(sig)[:, None], car_surf)
+    h_surf = collection_efficiency(sig[:, None], sig[None, :])
     return ContourGrid(
-        sigma_s_values=sig_s,
-        sigma_i_values=sig_i,
+        sigma_s_values=sig,
+        sigma_i_values=sig,
         surfaces={"car": car_surf, "g_c2": g2_surf, "h": h_surf},
         p_pair=p_pair,
     )

@@ -87,13 +87,13 @@ class CountProbabilities:
 
 @dataclass(frozen=True)
 class FiguresOfMerit:
-    car: float
+    car: "float | None"
     g_s2: float
-    g_c2_exact: float
-    g_c2_approx: float
+    g_c2_exact: "float | None"
+    g_c2_approx: "float | None"
     eta_d: float
     heralding_eff: float
-    p_pair: float
+    p_pair: "float | None"
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -168,6 +168,8 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
     Consistency guaranteed by construction: car equals p12 / (p1 p2), the
     g2 values come from the same count set, and the p123 term decomposition
     sums to p123.  A probability outside [0, 1] raises ModelValidityError.
+    CAR, the two heralded g2 values and p_pair are None (JSON null) where
+    their denominator is zero, as at zero gain or detector efficiency 0.
     """
     bands = normalize(config)
     sig_s, sig_i = bands.sigma_s_prime, bands.sigma_i_prime
@@ -199,15 +201,16 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
         w4=(g_s2 - 1.0) * xi2 * (eta_s * p1 * (eta_3 * p2 + eta_2 * p3) / 2.0),
     )
 
-    car_value = counts.p12 / (p1 * p2) if p1 > 0 and p2 > 0 else math.inf
+    car_value = counts.p12 / (p1 * p2) if p1 * p2 > 0 else None
+    triple_norm = counts.p13 * counts.p12
     figures = FiguresOfMerit(
         car=car_value,
         g_s2=g_s2,
-        g_c2_exact=counts.p123 * p1 / (counts.p13 * counts.p12) if p1 > 0 else 0.0,
-        g_c2_approx=heralded_g2_approx(g_s2, car_value) if math.isfinite(car_value) else 0.0,
+        g_c2_exact=counts.p123 * p1 / triple_norm if triple_norm > 0 else None,
+        g_c2_approx=None if car_value is None else heralded_g2_approx(g_s2, car_value),
         eta_d=0.5 * eta_s * eta_2 * xi,
         heralding_eff=xi,
-        p_pair=pair_rate(p1, eta_i, eta_1, xi) if p1 > 0 else 0.0,
+        p_pair=pair_rate(p1, eta_i, eta_1, xi) if eta_i * eta_1 > 0 else None,
     )
     return counts, figures
 

@@ -252,8 +252,7 @@ class TestCriterion7FilterPairOrderings:
             p_target = math.sqrt(target_p_pair / (s2 * xi))
             powers = [f * p_target for f in (0.65, 0.85, 1.0, 1.15)]
             records = pl.synthesize_power_sweep(
-                config, s1, s2, powers, pulses_per_point=6_000_000,
-                seed=77, config_id=label,
+                config, s1, s2, powers, pulses_per_point=6_000_000, seed=77,
             )
             fit = pl.fit_quadratic(records)
             corrected = pl.raman_correct(records, fit, config)

@@ -46,7 +46,50 @@ class TestReport:
         assert "model validity" in capsys.readouterr().err
 
     def test_unknown_flag_exits_nonzero(self, config_path, capsys):
-        assert run(["report", "--config", config_path, "--frobnicate"]) != 0
+        assert run(["report", "--config", config_path, "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, undefined",
+        [
+            # detector 2 never clicks: no 1-2 coincidences to normalize by
+            ({"g_squared": 0.01, "det_efficiencies": (0.5, 0.0, 0.5)},
+             {"car", "g_c2_exact", "g_c2_approx"}),
+            # no gain: no clicks at all, yet a zero pair rate
+            ({"g_squared": 0.0}, {"car", "g_c2_exact", "g_c2_approx"}),
+        ],
+    )
+    def test_undefined_figures_are_null(self, tmp_path, capsys, kwargs, undefined):
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps(config_to_dict(make_symmetric_config(1, 1, **kwargs))))
+        assert run(["report", "--config", str(path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert {key for key, value in doc.items() if value is None} == undefined
+
+
+class TestUsageErrors:
+    """argparse's own usage-error code 2 would read as a model-validity
+    failure; usage errors exit 1, --help and --version exit 0."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report"],
+            ["correct", "--band", "idler", "--data", "records.csv", "--config", "c.json",
+             "--out", "out.csv"],
+        ],
+    )
+    def test_usage_error_exits_1(self, argv, capsys):
+        assert run(argv) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        assert run([flag]) == 0
+        assert capsys.readouterr().out
 
 
 class TestSweep:
@@ -70,6 +113,12 @@ class TestSweep:
     def test_bad_grid_spec(self, tmp_path, capsys):
         assert run(["sweep", "--p-pair", "0.01", "--grid", "oops",
                     "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_reversed_grid_writes_nothing(self, tmp_path, capsys):
+        assert run(["sweep", "--p-pair", "0.01", "--grid", "2:1:0.1",
+                    "--out", str(tmp_path / "x.csv")]) == 1
+        assert "hsps: error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOracle:

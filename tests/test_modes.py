@@ -123,13 +123,6 @@ class TestModeReport:
         assert report.single_mode_heralding is True
         assert report.single_mode_heralded is False
 
-    def test_threshold_is_configurable(self, symmetric):
-        config = symmetric(1.0, 1.0, 0.01)
-        strict = mode_report(config, threshold=1.0001)
-        loose = mode_report(config, threshold=2.0)
-        assert strict.single_mode_heralding is False
-        assert loose.single_mode_heralding is True
-
     def test_json_round_trip(self, symmetric, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_to_dict(symmetric(1.0, 0.3, 0.01))))
@@ -171,10 +164,12 @@ class TestIndistinguishabilityStrategies:
         assert h_idler > h_signal
 
     def test_csv_emission(self, tmp_path):
-        report = indistinguishability_report(p_pair=0.005, free_values=np.array([0.5, 1.0]))
+        report = indistinguishability_report(p_pair=0.005)
         path = tmp_path / "fig.csv"
         write_strategy_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "sigma_free,g_c2,h,strategy"
-        assert len(lines) == 1 + 2 * 2
-        assert lines[1].endswith(NARROW_IDLER)
+        # 59 free bandwidths 0.1, 0.15, ..., 3.0 per strategy
+        assert len(lines) == 1 + 2 * 59
+        assert lines[1].startswith("0.1,") and lines[1].endswith(NARROW_IDLER)
+        assert lines[59].startswith("3,") and lines[60].endswith(NARROW_SIGNAL)

@@ -213,26 +213,26 @@ class TestRamanCorrection:
 
 class TestContourSweep:
     def test_fixture_cells(self):
-        grid = sweep_contour(0.01, (0.5, 1.5), (0.5, 1.5), 0.25)
+        grid = sweep_contour(0.01, (0.5, 1.5), 0.25)
         assert grid.value_at("car", 1.0, 1.0) == 26.0
         assert grid.value_at("h", 1.0, 1.0) == 0.5
-        grid2 = sweep_contour(0.02, (0.5, 1.5), (0.5, 1.5), 0.25)
+        grid2 = sweep_contour(0.02, (0.5, 1.5), 0.25)
         assert grid2.value_at("g_c2", 1.0, 1.0) == pytest.approx(0.25914354515292665, rel=1e-12)
 
     def test_h_surface_independent_of_pair_rate(self):
-        a = sweep_contour(0.005, (0.3, 2.0), (0.3, 2.0), 0.1)
-        b = sweep_contour(0.02, (0.3, 2.0), (0.3, 2.0), 0.1)
+        a = sweep_contour(0.005, (0.3, 2.0), 0.1)
+        b = sweep_contour(0.02, (0.3, 2.0), 0.1)
         assert np.array_equal(a.surfaces["h"], b.surfaces["h"])
         assert not np.array_equal(a.surfaces["car"], b.surfaces["car"])
 
     def test_h_monotonicity_across_surface(self):
-        grid = sweep_contour(0.01, (0.2, 2.8), (0.2, 2.8), 0.2)
+        grid = sweep_contour(0.01, (0.2, 2.8), 0.2)
         h = grid.surfaces["h"]
         assert np.all(np.diff(h, axis=0) > 0)   # rises with signal bandwidth
         assert np.all(np.diff(h, axis=1) < 0)   # falls with idler bandwidth
 
     def test_csv_and_sidecar(self, tmp_path):
-        grid = sweep_contour(0.01, (0.5, 1.0), (0.5, 1.0), 0.5)
+        grid = sweep_contour(0.01, (0.5, 1.0), 0.5)
         path = tmp_path / "contour.csv"
         write_contour_csv(grid, path, {"seed": 0})
         lines = path.read_text().splitlines()
@@ -247,6 +247,8 @@ class TestContourSweep:
             sweep_contour(0.0)
         with pytest.raises(PipelineError):
             sweep_contour(0.01, (0.0, 1.0))
+        with pytest.raises(PipelineError):
+            sweep_contour(0.01, (2.0, 1.0), 0.1)
 
 
 class TestPowerSlope:
