@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -74,6 +75,14 @@ def _parse_grid(spec: str):
     except ValueError:
         raise ConfigError(f"--grid expects min:max:step, got {spec!r}") from None
     return lo, hi, step
+
+
+def _pair_rate(text: str) -> float:
+    """--p-pair: a finite, positive pair rate per pulse (CAR divides by it)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _parse_raman(spec: str):
@@ -211,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = add("sweep", cmd_sweep, "contour CSV of CAR, heralded g2 and H",
                   needs_config=False, needs_out_file=True)
-    p_sweep.add_argument("--p-pair", type=float, required=True, dest="p_pair",
+    p_sweep.add_argument("--p-pair", type=_pair_rate, required=True, dest="p_pair",
                          help="pair rate per pulse")
     p_sweep.add_argument("--grid", default="0.1:3.0:0.05",
                          help="normalized bandwidth axis as min:max:step (both axes)")
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="skip the Gaussian-state comparison rows")
 
     p_modes = add("modes", cmd_modes, "Schmidt spectrum and single-mode report")
-    p_modes.add_argument("--p-pair", type=float, default=0.005, dest="p_pair",
+    p_modes.add_argument("--p-pair", type=_pair_rate, default=0.005, dest="p_pair",
                          help="pair rate for the strategy sweep")
     p_modes.add_argument("--sweep-out", default=None,
                          help="also emit the narrowband-strategy sweep CSV here")

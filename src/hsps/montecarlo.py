@@ -5,12 +5,12 @@ distribution built out of the count probabilities with dark counts and
 Poissonian Raman-background clicks folded in per detector
 (:func:`effective_pattern_probs`, the same distribution
 :func:`model_predictions` evaluates).  Most gates are empty, so it samples
-only the gates that click: geometric gaps in P(any click) give their
-indices, and each takes a pattern conditioned on a click.  It then applies
-the dead-time veto and tallies singles, same-slot coincidences,
-adjacent-slot accidentals and triples exactly as a counting experiment
-would.  Because the pattern distribution is exact, estimator behavior can be
-tested against known ground truth.
+only the gates that click, from two plain uniforms each by inverting CDFs:
+geometric gaps in P(any click) give their indices, and each takes a pattern
+conditioned on a click.  It then applies the dead-time veto and tallies
+singles, same-slot coincidences, adjacent-slot accidentals and triples
+exactly as a counting experiment would.  Because the pattern distribution
+is exact, estimator behavior can be tested against known ground truth.
 
 Determinism contract: results depend only on (seed, chunking).  Each chunk
 derives an independent random stream from a counter-based generator keyed
@@ -38,7 +38,7 @@ from .config import SourceConfig, normalize, with_gain
 from .stats import _SQRT2_PI, CountProbabilities, full_report
 
 DEFAULT_CHUNK = 1 << 20
-RNG_SCHEME = "philox-chunk-geometric-skip-v2"
+RNG_SCHEME = "philox-chunk-inverse-cdf-v3"
 
 
 class ModelInconsistencyError(ValueError):
@@ -232,20 +232,20 @@ def effective_pattern_probs(model: PulseModel) -> np.ndarray:
     return p
 
 
+# the patterns in which every detector of the subsets 1, 2, 3, 12, 13, 23 and
+# 123 clicks (plain lists: no numpy work at import)
+_SUBSET_PATTERNS = {
+    name: [i for i in range(8) if i & bits == bits]
+    for name, bits in (("1", 4), ("2", 2), ("3", 1), ("12", 6), ("13", 5), ("23", 3),
+                       ("123", 7))
+}
+
+
 def _joint_probs(p: np.ndarray) -> dict:
-    bits = np.arange(8)
-    d1 = (bits & 4) > 0
-    d2 = (bits & 2) > 0
-    d3 = (bits & 1) > 0
-    return {
-        "p1": float(p[d1].sum()),
-        "p2": float(p[d2].sum()),
-        "p3": float(p[d3].sum()),
-        "p12": float(p[d1 & d2].sum()),
-        "p13": float(p[d1 & d3].sum()),
-        "p23": float(p[d2 & d3].sum()),
-        "p123": float(p[d1 & d2 & d3].sum()),
-    }
+    """Sum of the pattern weights p over each detector subset: the joint
+    click probabilities p1 ... p123 for pattern probabilities, the same-slot
+    tallies (as ints) for pattern counts."""
+    return {"p" + name: p[idx].sum().item() for name, idx in _SUBSET_PATTERNS.items()}
 
 
 def _herald_norm(config: SourceConfig) -> float:
@@ -276,30 +276,49 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _draw_chunk(probs: np.ndarray, seed: int, chunk_index: int, size: int):
-    """Sorted local indices and 3-bit patterns of the gates of one chunk
-    that click at all; stateless.
+    """Sorted local indices and 3-bit patterns (uint8) of the gates of one
+    chunk that click at all; stateless.
 
-    Gaps between clicking gates are geometric in P(any click), so the empty
-    gates are skipped rather than drawn; each clicking gate then takes its
-    pattern from the 7 non-empty outcomes, conditioned on a click.
+    Both draws invert a CDF on plain uniforms, one per clicking gate each.
+    The gap to the next clicking gate is floor(log(1 - u) / log1p(-P(any)))
+    + 1, geometric in P(any click), so the empty gates are skipped rather
+    than drawn (1 - u is exact: the uniforms are multiples of 2^-53).  Each
+    clicking gate then takes the pattern 1 + sum_k [u >= t_k] over the six
+    thresholds t_k of the 7 non-empty outcomes' CDF conditioned on a click.
     """
     rng = _chunk_rng(seed, chunk_index)
-    p_any = float(probs[1:].sum())
+    # tail[i] = P(pattern > i), summed from the top: a pattern with no mass
+    # at or above it gets a threshold of exactly 1 and is never drawn
+    tail = np.cumsum(probs[:0:-1])[::-1]
+    p_any = float(tail[0])
     if p_any == 0.0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
+    thresholds = 1.0 - tail[1:] / p_any
+    # with no empty gate every gap is 1 (and log1p(-1) would raise)
+    log_empty = math.log1p(-p_any) if p_any < 1.0 and probs[0] > 0.0 else -math.inf
     batch = int(size * p_any + 4.0 * math.sqrt(size * p_any)) + 16
     parts = []
     last = -1
     while last < size:
-        # a gap past the chunk end ends the chunk; clipping it there keeps the
-        # cumulative sum from overflowing int64 when P(any click) is tiny
-        gaps = np.minimum(rng.geometric(p_any, batch), size + 1)
-        part = last + np.cumsum(gaps)
+        u = rng.random(batch)
+        np.log(np.subtract(1.0, u, out=u), out=u)
+        u /= log_empty
+        np.floor(u, out=u)
+        u += 1.0
+        # a gap past the chunk end ends the chunk; capping it there keeps the
+        # cast and the running sum within int64 when P(any click) is tiny
+        np.minimum(u, size + 1, out=u)
+        part = u.astype(np.int64)
+        np.cumsum(part, out=part)
+        part += last
         parts.append(part)
         last = int(part[-1])
     gates = np.concatenate(parts)
     gates = gates[: np.searchsorted(gates, size)]
-    patterns = 1 + rng.choice(7, size=gates.size, p=probs[1:] / p_any)
+    u = rng.random(gates.size)
+    patterns = np.ones(gates.size, dtype=np.uint8)
+    for t in thresholds:
+        patterns += u >= t
     return gates, patterns
 
 
@@ -309,13 +328,28 @@ def _apply_dead_time(clicks: np.ndarray, dead: int, dead_until: int):
     Returns (mask of the clicks that register, first live gate after the
     last registered click), both in the local coordinates of clicks.  A
     click in a vetoed gate is dropped and does not retrigger the veto.
+
+    A click more than dead gates after the previous raw click is always
+    kept, so the greedy loop runs only over the clicks inside clusters.
     """
     keep = np.zeros(clicks.size, dtype=bool)
-    for k, gate in enumerate(clicks.tolist()):
+    # the clicks inside the carried window are vetoed; the first after it registers
+    first = int(np.searchsorted(clicks, dead_until))
+    if first == clicks.size:
+        return keep, dead_until
+    keep[first] = True
+    np.greater(np.diff(clicks[first:]), dead, out=keep[first + 1:])
+    cluster = first + 1 + np.flatnonzero(~keep[first + 1:])
+    # a cluster click right after an always-kept one starts from its window
+    after_kept = keep[cluster - 1]
+    for k, gate, prev, reset in zip(cluster.tolist(), clicks[cluster].tolist(),
+                                    clicks[cluster - 1].tolist(), after_kept.tolist()):
+        if reset:
+            dead_until = prev + 1 + dead
         if gate >= dead_until:
             keep[k] = True
             dead_until = gate + 1 + dead
-    return keep, dead_until
+    return keep, int(clicks[np.flatnonzero(keep)[-1]]) + 1 + dead
 
 
 def simulate(
@@ -341,9 +375,10 @@ def simulate(
         return TallyCounters(gates=0)
 
     probs = effective_pattern_probs(model)
-    s1 = s2 = s3 = c12 = c13 = c23 = t123 = a12 = a13 = 0
+    pattern_counts = np.zeros(8, dtype=np.int64)
+    a12 = a13 = 0
     dead_until = [0, 0, 0]
-    prev_click = [False, False, False]
+    prev_pattern = 0   # pattern on the last gate of the previous chunk
 
     for k, start in enumerate(range(0, n_gates, chunking)):
         size = min(chunking, n_gates - start)
@@ -354,42 +389,36 @@ def simulate(
             bit = 4 >> det
             hit = np.flatnonzero(patterns & bit)
             keep, until = _apply_dead_time(gates[hit], dead, dead_until[det])
-            patterns[hit[~keep]] &= ~bit
+            patterns[hit[~keep]] &= 7 ^ bit
             dead_until[det] = max(until - size, 0)
-        d1 = (patterns & 4) > 0
-        d2 = (patterns & 2) > 0
-        d3 = (patterns & 1) > 0
-        s1 += int(np.count_nonzero(d1))
-        s2 += int(np.count_nonzero(d2))
-        s3 += int(np.count_nonzero(d3))
-        c12 += int(np.count_nonzero(d1 & d2))
-        c13 += int(np.count_nonzero(d1 & d3))
-        c23 += int(np.count_nonzero(d2 & d3))
-        t123 += int(np.count_nonzero(d1 & d2 & d3))
+        pattern_counts += np.bincount(patterns, minlength=8)
         # accidentals pair each gate with the adjacent earlier gate of the
         # partner; a vetoed gate records no click, as in hardware
-        adjacent = np.diff(gates) == 1
-        a12 += int(np.count_nonzero(d1[1:] & d2[:-1] & adjacent))
-        a13 += int(np.count_nonzero(d1[1:] & d3[:-1] & adjacent))
-        if gates.size and gates[0] == 0 and d1[0]:
-            a12 += prev_click[1]
-            a13 += prev_click[2]
+        adjacent = np.flatnonzero(np.diff(gates) == 1)
+        d1 = (patterns[adjacent + 1] & 4) > 0
+        earlier = patterns[adjacent]
+        a12 += int(np.count_nonzero(d1 & ((earlier & 2) > 0)))
+        a13 += int(np.count_nonzero(d1 & ((earlier & 1) > 0)))
+        if gates.size and gates[0] == 0 and patterns[0] & 4:
+            a12 += bool(prev_pattern & 2)
+            a13 += bool(prev_pattern & 1)
         at_end = gates.size > 0 and int(gates[-1]) == size - 1
-        prev_click = [at_end and bool(d[-1]) for d in (d1, d2, d3)]
+        prev_pattern = int(patterns[-1]) if at_end else 0
         if progress is not None:
             progress((start + size) * model.gate_divisor, n_pulses)
 
+    j = _joint_probs(pattern_counts)
     return TallyCounters(
         gates=n_gates,
-        singles_1=s1,
-        singles_2=s2,
-        singles_3=s3,
-        coinc_12=c12,
-        coinc_13=c13,
-        coinc_23=c23,
+        singles_1=j["p1"],
+        singles_2=j["p2"],
+        singles_3=j["p3"],
+        coinc_12=j["p12"],
+        coinc_13=j["p13"],
+        coinc_23=j["p23"],
         acc_12=a12,
         acc_13=a13,
-        triples_123=t123,
+        triples_123=j["p123"],
     )
 
 

@@ -254,3 +254,19 @@ class TestInputBoundary:
         path.write_text("\n".join(rows) + "\n")
         assert run(["fit", "--data", str(path)]) == 1
         assert "p_ave_mw" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--p-pair", "nan", "--out"],
+            ["sweep", "--p-pair", "-0.01", "--out"],
+            ["modes", "--config", "configs/demo.json", "--p-pair", "0", "--sweep-out"],
+            ["modes", "--config", "configs/demo.json", "--p-pair", "inf", "--sweep-out"],
+        ],
+        ids=["sweep-nan", "sweep-negative", "modes-zero", "modes-inf"],
+    )
+    def test_bad_pair_rate_exits_1_before_writing(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run(argv + [str(out)]) == 1
+        assert "--p-pair" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

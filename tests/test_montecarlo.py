@@ -13,6 +13,7 @@ from hsps.montecarlo import (
     EstimationError,
     EstimatorResult,
     ModelInconsistencyError,
+    RNG_SCHEME,
     PulseModel,
     TallyCounters,
     build_pulse_model,
@@ -126,6 +127,73 @@ class TestPatternConstruction:
         assert p1_eff == pytest.approx(1.0 - (1.0 - p1_base) * 0.9, abs=1e-12)
 
 
+class TestDraw:
+    """The inverse-CDF draw of one chunk: gaps and patterns from plain uniforms."""
+
+    # chi-square with 7 degrees of freedom exceeds this with probability 1e-4
+    CHI2_7DOF_1E4 = 29.8775
+
+    def test_pattern_frequencies_match_distribution(self, symmetric):
+        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
+        model = dataclasses.replace(build_pulse_model(config),
+                                    extra_click_probs=(0.1, 0.05, 0.05))
+        probs = effective_pattern_probs(model)
+        size = 1 << 20
+        gates, patterns = mc._draw_chunk(probs, 9, 0, size)
+        assert np.all(np.diff(gates) > 0) and 0 <= gates[0] and gates[-1] < size
+        observed = np.bincount(patterns, minlength=8)
+        observed[0] = size - gates.size
+        expected = size * probs
+        assert expected.min() > 1000
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2 < self.CHI2_7DOF_1E4, (observed, expected)
+
+    # patterns 1 (first), 4 (middle) and 7 (last, p123 = 0) carry no mass;
+    # thirds and sevenths round in every partial sum
+    ZERO_MASS = np.array([0.55, 0.0, 0.1 / 3, 0.2 / 3, 0.0, 0.1 / 7, 0.6 / 7, 0.0])
+    ZERO_MASS = ZERO_MASS / ZERO_MASS.sum()
+
+    def test_zero_probability_patterns_never_drawn(self):
+        drawn = set(np.unique(mc._draw_chunk(self.ZERO_MASS, 4, 0, 1 << 20)[1]).tolist())
+        assert drawn == {2, 3, 5, 6}
+
+    def test_zero_probability_patterns_unreachable_at_any_uniform(self, monkeypatch):
+        # feed the pattern draw the extreme uniforms and every threshold with
+        # its neighbours; zero gap uniforms make every gate click
+        tail = np.cumsum(self.ZERO_MASS[:0:-1])[::-1]
+        thresholds = 1.0 - tail[1:] / tail[0]
+        edges = [0.0, np.nextafter(1.0, 0.0)]
+        for t in np.clip(thresholds, 0.0, np.nextafter(1.0, 0.0)):
+            edges += [np.nextafter(t, 0.0), t, min(np.nextafter(t, 1.0), edges[1])]
+        edges = np.array(edges)
+
+        class FixedUniforms:
+            calls = 0
+
+            def random(self, n):
+                FixedUniforms.calls += 1
+                return np.zeros(n) if FixedUniforms.calls == 1 else edges[:n].copy()
+
+        monkeypatch.setattr(mc, "_chunk_rng", lambda seed, chunk: FixedUniforms())
+        gates, patterns = mc._draw_chunk(self.ZERO_MASS, 0, 0, edges.size)
+        assert gates.tolist() == list(range(edges.size))
+        assert set(patterns.tolist()) <= {2, 3, 5, 6}
+
+    @pytest.mark.parametrize("case", ["saturated_model", "tail_sum_above_one"])
+    def test_certain_click_fills_every_gate(self, symmetric, case):
+        if case == "saturated_model":
+            model = build_pulse_model(symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF))
+            probs = effective_pattern_probs(
+                dataclasses.replace(model, extra_click_probs=(1.0, 1.0, 1.0)))
+        else:
+            # P(any click) sums to 1 + 2^-52 from the top: log1p(-P) would raise
+            probs = np.array([0.0, 0.1, 0.1, 0.1, 0.05, 0.05, 0.2, 0.4])
+            assert np.cumsum(probs[:0:-1])[-1] > 1.0
+        gates, patterns = mc._draw_chunk(probs, 2, 0, 5000)
+        assert gates.tolist() == list(range(5000))
+        assert patterns.min() >= 1
+
+
 class TestSimulate:
     def test_deterministic_for_seed_and_chunking(self, symmetric):
         model = build_pulse_model(symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF))
@@ -231,6 +299,51 @@ class TestSimulate:
             tallies = simulate(model, 20_000, seed=11, chunking=chunking)
             assert tallies == self._per_gate_reference(model, 20_000, 11, chunking), chunking
             assert tallies.acc_12 > 0 and tallies.acc_13 > 0
+
+    @pytest.mark.parametrize("dead", [1, 7, 26])
+    def test_dead_time_fast_path_matches_greedy_reference(self, symmetric, dead):
+        # at 5% extra clicks per detector, from ~94% (dead 1) to ~16% (dead 26)
+        # of the clicks are isolated, so both the vectorised path and the
+        # greedy loop over clusters run, on either side of chunk boundaries
+        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF, dead_time_gates=dead)
+        model = dataclasses.replace(build_pulse_model(config),
+                                    extra_click_probs=(0.05, 0.05, 0.05))
+        for chunking in (7, 1 << 12):
+            tallies = simulate(model, 20_000, seed=13, chunking=chunking)
+            assert tallies == self._per_gate_reference(model, 20_000, 13, chunking), chunking
+
+    @given(
+        gaps=st.lists(st.integers(1, 40), min_size=0, max_size=60),
+        dead=st.integers(1, 30),
+        dead_until=st.integers(0, 80),
+    )
+    @settings(max_examples=200)
+    def test_dead_time_veto_is_greedy(self, gaps, dead, dead_until):
+        clicks = np.cumsum(np.asarray(gaps, dtype=np.int64)) - 1
+        expected = []
+        until = dead_until
+        for gate in clicks.tolist():
+            expected.append(gate >= until)
+            if expected[-1]:
+                until = gate + 1 + dead
+        keep, got_until = mc._apply_dead_time(clicks, dead, dead_until)
+        assert keep.tolist() == expected
+        assert got_until == until
+
+    def test_golden_tallies(self, symmetric):
+        # one fixed model, seed and chunking; the tallies change only when the
+        # way the streams become clicks changes, which must be declared
+        config = symmetric(1.0, 1.0, 0.02, det_efficiencies=EFF, dead_time_gates=3,
+                           dark=(1e-3, 5e-4, 5e-4))
+        tallies = simulate(build_pulse_model(config), 300_000, seed=2011, chunking=1 << 15)
+        golden = TallyCounters(
+            gates=300_000, singles_1=12239, singles_2=9863, singles_3=9794, coinc_12=2621,
+            coinc_13=2697, coinc_23=563, acc_12=320, acc_13=336, triples_123=301,
+        )
+        assert (RNG_SCHEME, tallies) == ("philox-chunk-inverse-cdf-v3", golden), (
+            "tallies for a fixed seed changed: bump `RNG_SCHEME`, declare the "
+            "change and re-pin these tallies"
+        )
 
     def test_progress_callback(self, symmetric):
         model = build_pulse_model(symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF))

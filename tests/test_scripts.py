@@ -48,3 +48,15 @@ def test_synthetic_experiment(tmp_path):
         assert corrected[0].startswith("p_ave_mw,p_pair,car,")
         assert len(corrected) == 1 + 5
         assert f"{label}: fit s1=" in result.stdout
+
+
+def test_check_rng_scheme():
+    config = ROOT / "configs" / "symmetric.json"
+    result = _run_script("check_rng_scheme.py", "--config", str(config),
+                         "--pulses", "200000", "--seeds", "8")
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith("rng_scheme philox-chunk-inverse-cdf-v3; 8 seeds x 200000 gates")
+    tallies = [line.split()[0] for line in lines[2:-1]]
+    assert tallies == ["singles_1", "singles_2", "singles_3", "coinc_12", "coinc_13",
+                       "coinc_23", "triples_123", "acc_12", "acc_13"]
+    assert lines[-1].startswith("max |z| ")
