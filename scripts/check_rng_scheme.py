@@ -5,9 +5,17 @@ Simulates one pulse model over seeds 0 .. N-1 with dead time switched off
 and prints, for every tally, the z of its mean over the seeds against the
 exact expectation from the effective pattern distribution: gates * p for
 the same-slot tallies (singles, coincidences, triples) and
-(gates - 1) * p1 * p_partner for the adjacent-slot accidentals.  The
-standard error is the sample standard deviation over the seeds divided by
-sqrt(N).  Exits 1 if any |z| exceeds 4.
+(n - 1) * p1 * p_partner for the adjacent-slot accidentals, n the gates.
+It then checks the second moments that depend on how clicks on
+neighbouring gates are drawn.  With q = p1 * p2,
+
+    Var(acc_12) = (n - 1) q (1 - q) + 2 (n - 2) p1 p2 (p12 - q)
+    Cov(acc_12, coinc_12) = (n - 1) [p2 p12 (1 - p1) + p1 p12 (1 - p2)]
+
+and the same for detector 3 in place of 2.  A second moment is the seed
+mean of the products of the centred tallies, scaled by N / (N - 1).  The
+standard error is the sample standard deviation of the per-seed values
+divided by sqrt(N).  Exits 1 if any |z| exceeds 4.
 
     PYTHONPATH=src python scripts/check_rng_scheme.py --config configs/demo.json \\
         --pulses 400000000 --seeds 200
@@ -33,19 +41,31 @@ SAME_SLOT = {"singles_1": "p1", "singles_2": "p2", "singles_3": "p3", "coinc_12"
 ACCIDENTAL = {"acc_12": "p2", "acc_13": "p3"}
 
 
-def expectations(model: mc.PulseModel, config, gates: int) -> dict:
-    joint = mc.model_predictions(model, config)["joint"]
-    expected = {name: gates * joint[key] for name, key in SAME_SLOT.items()}
-    expected |= {name: (gates - 1) * joint["p1"] * joint[key]
-                 for name, key in ACCIDENTAL.items()}
-    return expected
+def moment_checks(samples: dict, joint: dict, n: int) -> list:
+    """(name, per-seed values, expectation) over n gates: the seed mean of
+    the values estimates the expectation."""
+    checks = [(name, samples[name], n * joint[key]) for name, key in SAME_SLOT.items()]
+    checks += [(name, samples[name], (n - 1) * joint["p1"] * joint[key])
+               for name, key in ACCIDENTAL.items()]
+    n_seeds = len(samples["acc_12"])
+    scale = n_seeds / (n_seeds - 1)
+    centred = {name: np.asarray(v, dtype=float) - np.mean(v) for name, v in samples.items()}
+    for d in "23":
+        acc, coinc = f"acc_1{d}", f"coinc_1{d}"
+        p1, p2, p12 = joint["p1"], joint[f"p{d}"], joint[f"p1{d}"]
+        q = p1 * p2
+        var = (n - 1) * q * (1 - q) + 2 * (n - 2) * q * (p12 - q)
+        cov = (n - 1) * (p2 * p12 * (1 - p1) + p1 * p12 * (1 - p2))
+        checks.append((f"var({acc})", scale * centred[acc] ** 2, var))
+        checks.append((f"cov({acc},{coinc})", scale * centred[acc] * centred[coinc], cov))
+    return checks
 
 
-def z_table(samples: dict, expected: dict) -> list:
-    """(tally, expected, mean, standard error, z) per tally."""
+def z_table(checks: list) -> list:
+    """(name, expected, mean, standard error, z) per check."""
     rows = []
-    for name, exp in expected.items():
-        values = np.asarray(samples[name], dtype=float)
+    for name, values, exp in checks:
+        values = np.asarray(values, dtype=float)
         mean = float(values.mean())
         sem = float(values.std(ddof=1)) / math.sqrt(values.size)
         if sem > 0.0:
@@ -87,12 +107,13 @@ def main(argv=None) -> int:
         for name in samples:
             samples[name].append(tallies[name])
 
-    rows = z_table(samples, expectations(model, config, gates))
+    joint = mc.model_predictions(model, config)["joint"]
+    rows = z_table(moment_checks(samples, joint, gates))
     print(f"rng_scheme {mc.RNG_SCHEME}; {args.seeds} seeds x {gates} gates, "
           f"P(any click) {1.0 - mc.effective_pattern_probs(model)[0]:.4g}")
-    print(f"{'tally':<12} {'expected':>14} {'mean':>14} {'std_err':>10} {'z':>7}")
+    print(f"{'statistic':<21} {'expected':>14} {'mean':>14} {'std_err':>10} {'z':>7}")
     for name, exp, mean, sem, z in rows:
-        print(f"{name:<12} {exp:14.3f} {mean:14.3f} {sem:10.3f} {z:+7.2f}")
+        print(f"{name:<21} {exp:14.3f} {mean:14.3f} {sem:10.3f} {z:+7.2f}")
     worst = max(abs(row[4]) for row in rows)
     print(f"max |z| {worst:.2f} (limit {Z_MAX})")
     return 1 if worst > Z_MAX else 0

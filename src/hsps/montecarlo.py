@@ -4,20 +4,28 @@ The simulator draws joint click patterns from an exact 8-outcome
 distribution built out of the count probabilities with dark counts and
 Poissonian Raman-background clicks folded in per detector
 (:func:`effective_pattern_probs`, the same distribution
-:func:`model_predictions` evaluates).  Most gates are empty, so it samples
-only the gates that click, from two plain uniforms each by inverting CDFs:
-geometric gaps in P(any click) give their indices, and each takes a pattern
-conditioned on a click.  It then applies the dead-time veto and tallies
-singles, same-slot coincidences, adjacent-slot accidentals and triples
-exactly as a counting experiment would.  Because the pattern distribution
-is exact, estimator behavior can be tested against known ground truth.
+:func:`model_predictions` evaluates).  Most gates are empty, so no gate is
+drawn one by one.  A model with dead time needs the distance between
+clicks for the veto: it draws every clicking gate from two plain uniforms
+by inverting CDFs, a geometric gap in P(any click) and a pattern
+conditioned on a click, then applies the veto (:func:`_draw_chunk`).  A
+model without dead time needs a position only for the clicks that sit next
+to another click or on a chunk end: it draws each chunk from its run
+structure, the click count, the ends, the adjacent click pairs and their
+patterns, and one multinomial for the other clicks' patterns
+(:func:`_draw_runs`).  Both tally singles, same-slot coincidences,
+adjacent-slot accidentals and triples exactly as a counting experiment
+would.  Because the pattern distribution is exact, estimator behavior can
+be tested against known ground truth.
 
 Determinism contract: results depend only on (seed, chunking).  Each chunk
 derives an independent random stream from a counter-based generator keyed
 by (seed, chunk_index); chunks are consumed in index order and dead-time
-state and the adjacent-gate registers carry across the boundary.
+state and the pattern on the last gate carry across the boundary.
 :data:`RNG_SCHEME` names the way the streams are turned into clicks and
-changes whenever the tallies for a given seed would.
+changes whenever the tallies for a given seed would.  Its v4 draws the
+models without dead time from their run structure; the models with dead
+time keep the v3 gap draw, so their tallies are those of v3.
 
 Raman background is Poissonian and sits in the idler band, where it is
 fitted and subtracted downstream.  When a
@@ -38,7 +46,7 @@ from .config import SourceConfig, normalize, with_gain
 from .stats import _SQRT2_PI, CountProbabilities, full_report
 
 DEFAULT_CHUNK = 1 << 20
-RNG_SCHEME = "philox-chunk-inverse-cdf-v3"
+RNG_SCHEME = "philox-chunk-runs-v4"
 
 
 class ModelInconsistencyError(ValueError):
@@ -172,11 +180,14 @@ def build_pulse_model(
 
     raman, when given, is (s1, s2, p_ave): mean Raman photons per pulse in
     the idler band s1 * p_ave, pair gain set from s2 * p_ave^2 (the
-    configured |G|^2 is ignored).
+    configured |G|^2 is ignored).  s1 must be nonnegative and all three
+    finite.
     """
     raman_idler = 0.0
     if raman is not None:
         s1, s2, p_ave = raman
+        if not (all(math.isfinite(v) for v in raman) and s1 >= 0):
+            raise ValueError(f"raman (s1, s2, p_ave) must be finite with s1 >= 0, got {raman}")
         bands = normalize(config)
         config = with_gain(config, gain_for_power(s2, p_ave, bands.sigma_i_prime))
         raman_idler = s1 * p_ave
@@ -275,27 +286,45 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _conditional_law(probs: np.ndarray):
+    """P(any click) and the six thresholds t_k of the 7 non-empty outcomes'
+    CDF conditioned on a click."""
+    # tail[i] = P(pattern > i), summed from the top: a pattern with no mass
+    # at or above it gets a threshold of exactly 1 and is never drawn
+    tail = np.cumsum(probs[:0:-1])[::-1]
+    p_any = float(tail[0])
+    return p_any, (1.0 - tail[1:] / p_any if p_any > 0.0 else None)
+
+
+def _patterns(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Click patterns (uint8) 1 + sum_k [u >= t_k] from plain uniforms u."""
+    patterns = np.ones(u.size, dtype=np.uint8)
+    for t in thresholds:
+        patterns += u >= t
+    return patterns
+
+
+def _every_gate_clicks(probs: np.ndarray, p_any: float) -> bool:
+    """No empty gate: P(any click) is 1 after rounding, or P(empty) is 0."""
+    return p_any >= 1.0 or probs[0] == 0.0
+
+
 def _draw_chunk(probs: np.ndarray, seed: int, chunk_index: int, size: int):
     """Sorted local indices and 3-bit patterns (uint8) of the gates of one
-    chunk that click at all; stateless.
+    chunk that click at all; stateless.  The draw for models with dead time.
 
     Both draws invert a CDF on plain uniforms, one per clicking gate each.
     The gap to the next clicking gate is floor(log(1 - u) / log1p(-P(any)))
     + 1, geometric in P(any click), so the empty gates are skipped rather
     than drawn (1 - u is exact: the uniforms are multiples of 2^-53).  Each
-    clicking gate then takes the pattern 1 + sum_k [u >= t_k] over the six
-    thresholds t_k of the 7 non-empty outcomes' CDF conditioned on a click.
+    clicking gate then takes its pattern from :func:`_patterns`.
     """
     rng = _chunk_rng(seed, chunk_index)
-    # tail[i] = P(pattern > i), summed from the top: a pattern with no mass
-    # at or above it gets a threshold of exactly 1 and is never drawn
-    tail = np.cumsum(probs[:0:-1])[::-1]
-    p_any = float(tail[0])
+    p_any, thresholds = _conditional_law(probs)
     if p_any == 0.0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8)
-    thresholds = 1.0 - tail[1:] / p_any
     # with no empty gate every gap is 1 (and log1p(-1) would raise)
-    log_empty = math.log1p(-p_any) if p_any < 1.0 and probs[0] > 0.0 else -math.inf
+    log_empty = -math.inf if _every_gate_clicks(probs, p_any) else math.log1p(-p_any)
     batch = int(size * p_any + 4.0 * math.sqrt(size * p_any)) + 16
     parts = []
     last = -1
@@ -315,11 +344,76 @@ def _draw_chunk(probs: np.ndarray, seed: int, chunk_index: int, size: int):
         last = int(part[-1])
     gates = np.concatenate(parts)
     gates = gates[: np.searchsorted(gates, size)]
-    u = rng.random(gates.size)
-    patterns = np.ones(gates.size, dtype=np.uint8)
-    for t in thresholds:
-        patterns += u >= t
-    return gates, patterns
+    return gates, _patterns(rng.random(gates.size), thresholds)
+
+
+def _draw_runs(probs: np.ndarray, seed: int, chunk_index: int, size: int):
+    """One chunk drawn from its run structure; stateless.  The draw for
+    models without dead time.
+
+    Returns (pattern counts over all 8 outcomes, the earlier and the later
+    patterns of the adjacent click pairs, the pattern on gate 0, the
+    pattern on gate size - 1); an empty gate has pattern 0.
+
+    With no dead time the patterns of the clicking gates are independent of
+    where the clicks sit, so only the clicks next to another click or on a
+    chunk end need a position and a pattern.  The chunk draws, in order:
+    the click count K ~ Binomial(size, P(any)); whether gate 0 clicks (K /
+    size) and then whether gate size - 1 does ((K - f) / (size - 1)); the
+    number S of consecutive click pairs that are adjacent gates, which is
+    Hypergeometric(K - 1, E - 1, K - f - l) with E = size - K, because a
+    K-subset of the gates with a given set of s adjacent pairs has
+    C(E - 1, K - s - f - l) arrangements; which pairs, as a uniform
+    S-subset of the K - 1; the patterns of the clicks in an adjacent pair
+    or on a chunk end, from :func:`_patterns`; and one multinomial over the
+    7 click patterns for the rest.
+    """
+    rng = _chunk_rng(seed, chunk_index)
+    p_any, thresholds = _conditional_law(probs)
+    if p_any == 0.0:
+        n_click = 0
+    elif _every_gate_clicks(probs, p_any):
+        n_click = size
+    else:
+        n_click = int(rng.binomial(size, p_any))
+    n_empty = size - n_click
+    counts = np.zeros(8, dtype=np.int64)
+    counts[0] = n_empty
+    if n_click == 0:
+        none = np.empty(0, dtype=np.uint8)
+        return counts, none, none, 0, 0
+    first = int(rng.integers(size) < n_click)
+    last = first if size == 1 else int(rng.integers(size - 1) < n_click - first)
+    if n_empty == 0:
+        n_adjacent = n_click - 1
+    else:
+        n_adjacent = int(rng.hypergeometric(n_click - 1, n_empty - 1, n_click - first - last))
+    # adjacent[i]: clicks i and i + 1 sit on neighbouring gates
+    adjacent = np.zeros(n_click, dtype=bool)
+    adjacent[rng.choice(n_click - 1, n_adjacent, replace=False, shuffle=False)] = True
+    explicit = adjacent.copy()
+    explicit[1:] |= adjacent[:-1]
+    explicit[0] |= bool(first)
+    explicit[-1] |= bool(last)
+    explicit = np.flatnonzero(explicit)
+    patterns = _patterns(rng.random(explicit.size), thresholds)
+    counts += np.bincount(patterns, minlength=8)
+    # the heaviest pattern takes the multinomial's remainder, so a pattern
+    # with no mass gets exactly none
+    heaviest = 1 + int(np.argmax(probs[1:]))
+    order = [i for i in range(1, 8) if i != heaviest] + [heaviest]
+    counts[order] += rng.multinomial(n_click - explicit.size, probs[order] / p_any)
+    pairs = np.flatnonzero(adjacent[explicit])
+    return (counts, patterns[pairs], patterns[pairs + 1],
+            int(patterns[0]) if first else 0, int(patterns[-1]) if last else 0)
+
+
+def _accidentals(earlier, later) -> tuple[int, int]:
+    """Adjacent-slot accidentals (a12, a13) over (earlier, later) pattern
+    pairs: detector 1 clicks in the later gate, its partner in the earlier."""
+    d1 = (later & 4) > 0
+    return (int(np.count_nonzero(d1 & ((earlier & 2) > 0))),
+            int(np.count_nonzero(d1 & ((earlier & 1) > 0))))
 
 
 def _apply_dead_time(clicks: np.ndarray, dead: int, dead_until: int):
@@ -352,6 +446,26 @@ def _apply_dead_time(clicks: np.ndarray, dead: int, dead_until: int):
     return keep, int(clicks[np.flatnonzero(keep)[-1]]) + 1 + dead
 
 
+def _vetoed_chunk(gates, patterns, dead_time_gates, dead_until: list, size: int):
+    """Apply the dead-time veto to one chunk's clicking gates and patterns
+    and summarise it as :func:`_draw_runs` does; dead_until carries each
+    detector's first live gate into the next chunk and is updated in place."""
+    for det, dead in enumerate(dead_time_gates):
+        if dead == 0:
+            continue
+        bit = 4 >> det
+        hit = np.flatnonzero(patterns & bit)
+        keep, until = _apply_dead_time(gates[hit], dead, dead_until[det])
+        patterns[hit[~keep]] &= 7 ^ bit
+        dead_until[det] = max(until - size, 0)
+    counts = np.bincount(patterns, minlength=8)
+    counts[0] += size - gates.size
+    adjacent = np.flatnonzero(np.diff(gates) == 1)
+    first = int(patterns[0]) if gates.size and gates[0] == 0 else 0
+    last = int(patterns[-1]) if gates.size and gates[-1] == size - 1 else 0
+    return counts, patterns[adjacent], patterns[adjacent + 1], first, last
+
+
 def simulate(
     model: PulseModel,
     n_pulses: int,
@@ -365,6 +479,12 @@ def simulate(
     gated pulses.  Deterministic for fixed (seed, chunking) and run on one
     thread.  progress, when given, is called as progress(done, total) after
     each chunk with pulse counts.
+
+    A model with dead time draws each chunk's clicking gates by geometric
+    gaps and vetoes them (:func:`_draw_chunk`, the v3 draw); a model without
+    draws each chunk from its run structure (:func:`_draw_runs`), in
+    O(P(any)^2 size) random draws rather than O(P(any) size).  The two give
+    the same tally distribution but different tallies for a seed.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -378,32 +498,24 @@ def simulate(
     pattern_counts = np.zeros(8, dtype=np.int64)
     a12 = a13 = 0
     dead_until = [0, 0, 0]
-    prev_pattern = 0   # pattern on the last gate of the previous chunk
+    prev_last = 0   # pattern on the last gate of the previous chunk
+    dead_time = any(model.dead_time_gates)
 
     for k, start in enumerate(range(0, n_gates, chunking)):
         size = min(chunking, n_gates - start)
-        gates, patterns = _draw_chunk(probs, seed, k, size)
-        for det, dead in enumerate(model.dead_time_gates):
-            if dead == 0:
-                continue
-            bit = 4 >> det
-            hit = np.flatnonzero(patterns & bit)
-            keep, until = _apply_dead_time(gates[hit], dead, dead_until[det])
-            patterns[hit[~keep]] &= 7 ^ bit
-            dead_until[det] = max(until - size, 0)
-        pattern_counts += np.bincount(patterns, minlength=8)
+        if dead_time:
+            counts, earlier, later, first, last = _vetoed_chunk(
+                *_draw_chunk(probs, seed, k, size), model.dead_time_gates, dead_until, size)
+        else:
+            counts, earlier, later, first, last = _draw_runs(probs, seed, k, size)
+        pattern_counts += counts
         # accidentals pair each gate with the adjacent earlier gate of the
-        # partner; a vetoed gate records no click, as in hardware
-        adjacent = np.flatnonzero(np.diff(gates) == 1)
-        d1 = (patterns[adjacent + 1] & 4) > 0
-        earlier = patterns[adjacent]
-        a12 += int(np.count_nonzero(d1 & ((earlier & 2) > 0)))
-        a13 += int(np.count_nonzero(d1 & ((earlier & 1) > 0)))
-        if gates.size and gates[0] == 0 and patterns[0] & 4:
-            a12 += bool(prev_pattern & 2)
-            a13 += bool(prev_pattern & 1)
-        at_end = gates.size > 0 and int(gates[-1]) == size - 1
-        prev_pattern = int(patterns[-1]) if at_end else 0
+        # partner, across the chunk boundary too; a vetoed gate records no
+        # click, as in hardware
+        for d12, d13 in (_accidentals(earlier, later), _accidentals(prev_last, first)):
+            a12 += d12
+            a13 += d13
+        prev_last = last
         if progress is not None:
             progress((start + size) * model.gate_divisor, n_pulses)
 

@@ -256,6 +256,28 @@ class TestInputBoundary:
         assert "p_ave_mw" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--raman=-0.05,0.08"],
+            ["--raman=-5,0.08"],
+            ["--raman", "0.05,0.08", "--p-ave", "nan"],
+            ["--raman", "0.05,0.08", "--p-ave", "inf"],
+            ["--raman", "0.05,nan"],
+            ["--raman", "inf,0.08"],
+        ],
+        ids=["negative-s1", "very-negative-s1", "nan-power", "inf-power", "nan-s2", "inf-s1"],
+    )
+    def test_bad_raman_triple_exits_1(self, tmp_path, capsys, flags):
+        # a negative s1 gave a negative extra-click probability and exit 0;
+        # a non-finite value reached the model-validity checks (exit 2)
+        out = tmp_path / "mc.json"
+        argv = ["mc", "--config", "configs/symmetric.json", "--pulses", "1000",
+                "--out", str(out), *flags]
+        assert run(argv) == 1
+        assert "raman" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["sweep", "--p-pair", "nan", "--out"],

@@ -194,6 +194,139 @@ class TestDraw:
         assert patterns.min() >= 1
 
 
+def _chi2_threshold(dof: int, z: float = 3.719) -> float:
+    """Upper 1e-4 point of a chi-square with dof degrees of freedom
+    (Wilson-Hilferty; z is the standard normal's upper 1e-4 point)."""
+    a = 2.0 / (9.0 * dof)
+    return dof * (1.0 - a + z * math.sqrt(a)) ** 3
+
+
+def _run_summary(draw, size):
+    """(K, S, first gate clicks, last gate clicks) of one _draw_runs result."""
+    counts, earlier, later, first, last = draw
+    assert earlier.size == later.size
+    return size - int(counts[0]), earlier.size, first > 0, last > 0
+
+
+class TestRunsDraw:
+    """The run-structure draw of one chunk for models without dead time."""
+
+    @staticmethod
+    def _exact_structure(size, p):
+        """P(K, S, f, l) over all 2^size click sequences with per-gate click
+        probability p: S counts the neighbouring gates that both click."""
+        law = {}
+        for seq in range(1 << size):
+            k = seq.bit_count()
+            key = (k, (seq & (seq >> 1)).bit_count(), bool(seq & 1), bool(seq >> (size - 1)))
+            law[key] = law.get(key, 0.0) + p**k * (1.0 - p) ** (size - k)
+        return law
+
+    @pytest.mark.parametrize("size, p_any", [(1, 0.4), (2, 0.5), (5, 0.3), (8, 0.25),
+                                             (8, 0.75)])
+    def test_run_structure_matches_enumeration(self, size, p_any):
+        probs = np.array([1.0 - p_any, 0.0, 0.2, 0.1, 0.3, 0.1, 0.2, 0.1])
+        probs[2:] *= p_any
+        law = self._exact_structure(size, p_any)
+        n = 8000
+        seen = {}
+        for chunk in range(n):
+            key = _run_summary(mc._draw_runs(probs, 3, chunk, size), size)
+            assert key in law, key
+            seen[key] = seen.get(key, 0) + 1
+        # cells expected below 5 draws are pooled into one
+        observed, expected = [], []
+        rest_obs = rest_exp = 0.0
+        for key, prob in law.items():
+            if n * prob >= 5.0:
+                observed.append(seen.get(key, 0))
+                expected.append(n * prob)
+            else:
+                rest_obs += seen.get(key, 0)
+                rest_exp += n * prob
+        if rest_exp > 0.0:
+            observed.append(rest_obs)
+            expected.append(rest_exp)
+        observed, expected = np.array(observed), np.array(expected)
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2 < _chi2_threshold(observed.size - 1), (chi2, observed, expected)
+
+    def test_pattern_frequencies_match_distribution(self, symmetric):
+        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
+        model = dataclasses.replace(build_pulse_model(config),
+                                    extra_click_probs=(0.1, 0.05, 0.05))
+        probs = effective_pattern_probs(model)
+        size = 1 << 20
+        counts = mc._draw_runs(probs, 9, 0, size)[0]
+        expected = size * probs
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        assert chi2 < TestDraw.CHI2_7DOF_1E4, (counts, expected)
+
+    def test_zero_probability_patterns_never_drawn(self):
+        # patterns 1, 4 and 7 carry no mass; at P(any) 0.45 seven clicks in
+        # ten have a clicking neighbour and take explicit patterns, the rest
+        # the multinomial
+        counts, earlier, later, first, last = mc._draw_runs(TestDraw.ZERO_MASS, 4, 0, 1 << 20)
+        assert set(np.flatnonzero(counts).tolist()) == {0, 2, 3, 5, 6}
+        assert set(np.concatenate([earlier, later, [first, last]]).tolist()) <= {0, 2, 3, 5, 6}
+
+    @staticmethod
+    def _scaled(probs, p_any):
+        """probs with its click patterns scaled to P(any click) = p_any."""
+        out = probs * (p_any / probs[1:].sum())
+        out[0] = 1.0 - p_any
+        return out
+
+    SHAPES = {
+        "no_click": np.array([1.0, 0, 0, 0, 0, 0, 0, 0]),
+        # P(any click) sums to 1 + 2^-52 from the top, P(empty) is 0
+        "certain_after_rounding": np.array([0.0, 0.1, 0.1, 0.1, 0.05, 0.05, 0.2, 0.4]),
+        "almost_certain": _scaled(TestDraw.ZERO_MASS, 0.97),
+        "rare": _scaled(TestDraw.ZERO_MASS, 0.02),
+        "zero_mass": TestDraw.ZERO_MASS,
+    }
+
+    @given(size=st.integers(1, 40), shape=st.sampled_from(sorted(SHAPES)),
+           chunk=st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_run_structure_is_consistent(self, size, shape, chunk):
+        probs = self.SHAPES[shape]
+        draw = mc._draw_runs(probs, 1, chunk, size)
+        counts, earlier, later, first, last = draw
+        k, s, f, l = _run_summary(draw, size)
+        assert counts.sum() == size and counts.min() >= 0
+        drawn = set(np.flatnonzero(counts[1:]) + 1) | set(earlier) | set(later) | {first, last}
+        assert all(probs[i] > 0.0 for i in drawn - {0})
+        if shape == "no_click":
+            assert (k, s, f, l) == (0, 0, False, False)
+        if shape == "certain_after_rounding" or k == size:
+            # E = 0: every pair is adjacent and both ends click
+            assert (k, s, f, l) == (size, size - 1, True, True)
+        elif k == 0:
+            assert (s, f, l) == (0, False, False)
+        else:
+            # the E empty gates fill the K + 1 - S - f - l gaps between and
+            # around the runs, each gap at least one gate
+            assert 1 <= k + 1 - s - f - l <= size - k
+        if size == 1:
+            assert first == last
+        elif k == 1:
+            assert s == 0 and not (f and l)
+
+    @pytest.mark.parametrize("shape", ["no_click", "certain_after_rounding", "rare",
+                                       "zero_mass"])
+    def test_single_gate_chunks(self, shape):
+        # chunking=1: every gate is its own chunk, so accidentals come only
+        # from the pattern carried across the boundaries
+        probs = self.SHAPES[shape]
+        model = PulseModel(pattern_probs=probs, extra_click_probs=(0.0, 0.0, 0.0),
+                           gate_divisor=1, dead_time_gates=(0, 0, 0))
+        tallies = simulate(model, 3000, seed=8, chunking=1)
+        patterns = np.array([mc._draw_runs(probs, 8, k, 1)[3] for k in range(3000)])
+        clicks = np.array([(patterns & (4 >> det)) > 0 for det in range(3)])
+        assert tallies == TestSimulate._tallies_from_clicks(clicks)
+
+
 class TestSimulate:
     def test_deterministic_for_seed_and_chunking(self, symmetric):
         model = build_pulse_model(symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF))
@@ -280,10 +413,15 @@ class TestSimulate:
                     clicks[det, gate] = False
                 else:
                     dead_until = gate + 1 + dead
+        return TestSimulate._tallies_from_clicks(clicks)
+
+    @staticmethod
+    def _tallies_from_clicks(clicks):
+        """Tallies of a (3, gates) boolean click array."""
         d1, d2, d3 = clicks
         n = np.count_nonzero
         return TallyCounters(
-            gates=n_gates, singles_1=n(d1), singles_2=n(d2), singles_3=n(d3),
+            gates=clicks.shape[1], singles_1=n(d1), singles_2=n(d2), singles_3=n(d3),
             coinc_12=n(d1 & d2), coinc_13=n(d1 & d3), coinc_23=n(d2 & d3),
             acc_12=n(d1[1:] & d2[:-1]), acc_13=n(d1[1:] & d3[:-1]),
             triples_123=n(d1 & d2 & d3),
@@ -340,7 +478,21 @@ class TestSimulate:
             gates=300_000, singles_1=12239, singles_2=9863, singles_3=9794, coinc_12=2621,
             coinc_13=2697, coinc_23=563, acc_12=320, acc_13=336, triples_123=301,
         )
-        assert (RNG_SCHEME, tallies) == ("philox-chunk-inverse-cdf-v3", golden), (
+        assert (RNG_SCHEME, tallies) == ("philox-chunk-runs-v4", golden), (
+            "tallies for a fixed seed changed: bump `RNG_SCHEME`, declare the "
+            "change and re-pin these tallies"
+        )
+
+    def test_golden_tallies_without_dead_time(self, symmetric):
+        # the same pin for the run-structure draw; chunking 2^15 puts chunk
+        # boundaries inside the run, so the carried last-gate pattern counts
+        config = symmetric(1.0, 1.0, 0.02, det_efficiencies=EFF, dark=(1e-3, 5e-4, 5e-4))
+        tallies = simulate(build_pulse_model(config), 300_000, seed=2011, chunking=1 << 15)
+        golden = TallyCounters(
+            gates=300_000, singles_1=13645, singles_2=10651, singles_3=10893, coinc_12=3134,
+            coinc_13=3152, coinc_23=741, acc_12=465, acc_13=502, triples_123=429,
+        )
+        assert (RNG_SCHEME, tallies) == ("philox-chunk-runs-v4", golden), (
             "tallies for a fixed seed changed: bump `RNG_SCHEME`, declare the "
             "change and re-pin these tallies"
         )

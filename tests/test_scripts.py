@@ -5,6 +5,8 @@ import pathlib
 import subprocess
 import sys
 
+from hsps.montecarlo import RNG_SCHEME
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -55,8 +57,10 @@ def test_check_rng_scheme():
     result = _run_script("check_rng_scheme.py", "--config", str(config),
                          "--pulses", "200000", "--seeds", "8")
     lines = result.stdout.splitlines()
-    assert lines[0].startswith("rng_scheme philox-chunk-inverse-cdf-v3; 8 seeds x 200000 gates")
-    tallies = [line.split()[0] for line in lines[2:-1]]
-    assert tallies == ["singles_1", "singles_2", "singles_3", "coinc_12", "coinc_13",
-                       "coinc_23", "triples_123", "acc_12", "acc_13"]
+    assert lines[0].startswith(f"rng_scheme {RNG_SCHEME}; 8 seeds x 200000 gates")
+    statistics = [line.split()[0] for line in lines[2:-1]]
+    assert statistics == ["singles_1", "singles_2", "singles_3", "coinc_12", "coinc_13",
+                          "coinc_23", "triples_123", "acc_12", "acc_13",
+                          "var(acc_12)", "cov(acc_12,coinc_12)",
+                          "var(acc_13)", "cov(acc_13,coinc_13)"]
     assert lines[-1].startswith("max |z| ")
