@@ -288,7 +288,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _conditional_law(probs: np.ndarray):
     """P(any click) and the six thresholds t_k of the 7 non-empty outcomes'
-    CDF conditioned on a click."""
+    CDF conditioned on a click (None when no gate can click)."""
     # tail[i] = P(pattern > i), summed from the top: a pattern with no mass
     # at or above it gets a threshold of exactly 1 and is never drawn
     tail = np.cumsum(probs[:0:-1])[::-1]
