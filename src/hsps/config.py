@@ -352,16 +352,22 @@ def make_symmetric_config(
 # ---------------------------------------------------------------------------
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
+def _require(mapping: dict, key: str, where: str, default=None):
+    """mapping[key], required unless a default is given.  Every section is
+    read through here, so a section that is not a JSON object fails here."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {mapping!r}")
+    if key in mapping:
+        return mapping[key]
+    if default is None:
         raise ConfigError(f"missing key '{key}' in {where}")
-    return mapping[key]
+    return default
 
 
 def _number(mapping: dict, key: str, where: str, default: float | None = None) -> float:
     """Finite float at mapping[key], required unless a default is given.
     JSON admits NaN and Infinity, which no field of the model can hold."""
-    value = _require(mapping, key, where) if default is None else mapping.get(key, default)
+    value = _require(mapping, key, where, default)
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -407,6 +413,8 @@ def config_from_dict(doc: dict) -> SourceConfig:
     gain = GainParameter(_number(_require(doc, "gain", "config"), "g_squared", "gain"))
     filters = _require(doc, "filters", "config")
     detectors_d = _require(doc, "detectors", "config")
+    if not isinstance(detectors_d, list):
+        raise ConfigError(f"detectors must be a JSON array, got {detectors_d!r}")
     if len(detectors_d) != 3:
         raise ConfigError("config needs exactly three detector entries")
     detectors = tuple(
@@ -419,7 +427,7 @@ def config_from_dict(doc: dict) -> SourceConfig:
         )
         for i, d in enumerate(detectors_d)
     )
-    channels_d = doc.get("channels", {})
+    channels_d = _require(doc, "channels", "config", {})
     channels = ChannelExtras(
         signal=_number(channels_d, "signal_extra", "channels", 1.0),
         idler=_number(channels_d, "idler_extra", "channels", 1.0),

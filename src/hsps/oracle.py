@@ -17,8 +17,10 @@ Two independent machines live here:
   terms, so that no probability is a difference of numbers close to one.
 
 In ``low_gain`` mode the click engine returns the leading-order count
-probabilities computed through the state route, the same currency as
-``numeric_counts``.  In ``all_order`` mode it returns genuine threshold
+probabilities of the same state: its number kernels R R^T and R^T R and the
+pair kernel R, seen through the band amplitudes, are contracted by the same
+function as the quadrature matrices, so the two routes differ only in how
+the kernels are built.  In ``all_order`` mode it returns genuine threshold
 click probabilities, which differ from the count probabilities at
 O(|G|^4) for singles and pairwise coincidences.  Note the triple
 coincidence differs at O(1) relative whenever herald multi-photon events
@@ -298,28 +300,6 @@ def _band_transmissions(config: SourceConfig, grid_s: FrequencyGrid, grid_i: Fre
     return t1, t2_band, t3_band
 
 
-def _low_gain_counts(R: np.ndarray, t1: np.ndarray, t2b: np.ndarray, t3b: np.ndarray) -> CountProbabilities:
-    """Leading-order count probabilities from the state route.
-
-    The number kernels at leading order are N_s = R R^T and N_i = R^T R; the
-    coupler halves the band transmission seen by each arm.
-    """
-    t2 = 0.5 * t2b
-    t3 = 0.5 * t3b
-    n_s = R @ R.T
-    pair = R * R  # |pair amplitude|^2 per mode pair
-    # the diagonals of N_i and N_s are the column and row sums of pair
-    p1 = float(pair.sum(axis=0) @ t1)
-    p2 = float(t2 @ pair.sum(axis=1))
-    p3 = float(t3 @ pair.sum(axis=1))
-    t12 = float(t2 @ pair @ t1)
-    t13 = float(t3 @ pair @ t1)
-    bunch23 = float(t2 @ (n_s * n_s) @ t3)
-    # sum_klm t2_k t3_m t1_l R_kl R_ml N_s[k, m]
-    w4 = 2.0 * float(t2 @ (((R * t1) @ R.T) * n_s) @ t3)
-    return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
-
-
 def _log_det_sym(S: np.ndarray) -> float:
     """log det(I + S) for symmetric S with I + S positive definite, as
     sum log1p(eigenvalues), so a small S keeps its relative accuracy."""
@@ -441,11 +421,24 @@ def gaussian_click_probs(
     """
     grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_click_grids(config))
     R = _pair_kernel(config, grid_s, grid_i)
-    t1, t2b, t3b = _band_transmissions(config, grid_s, grid_i)
     if order == "low_gain":
-        return _low_gain_counts(R, t1, t2b, t3b)
+        # the state's leading-order moments N_s = R R^T, N_i = R^T R and R
+        # itself, seen through the channel and filter amplitudes; R already
+        # carries the quadrature weights, so both spacings are 1
+        a_s = np.sqrt(config.signal_channel_transmission) * filter_amplitude(
+            grid_s.points(), config.signal_filter)
+        a_i = np.sqrt(config.idler_channel_transmission) * filter_amplitude(
+            grid_i.points(), config.idler_filter)
+        mats = CorrelationMatrices(
+            auto_signal=np.outer(a_s, a_s) * (R @ R.T),
+            auto_idler=np.outer(a_i, a_i) * (R.T @ R),
+            cross=np.outer(a_s, a_i) * R,
+            spacing_s=1.0,
+            spacing_i=1.0,
+        )
+        return _counts_from_matrices(config, mats)
     if order == "all_order":
-        return click_probs_from_pair_kernel(R, t1, t2b, t3b)
+        return click_probs_from_pair_kernel(R, *_band_transmissions(config, grid_s, grid_i))
     raise ValueError(f"order must be 'low_gain' or 'all_order', got {order!r}")
 
 

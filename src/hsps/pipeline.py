@@ -91,9 +91,6 @@ class QuadraticFit:
         if self.residual_rms < 0:
             raise PipelineError("residual_rms must be nonnegative")
 
-    def evaluate(self, p_ave: float) -> float:
-        return self.s1 * p_ave + self.s2 * p_ave**2
-
 
 def write_power_records(path, records: list[PowerPointRecord]):
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -142,6 +139,8 @@ def read_power_records(path) -> list[PowerPointRecord]:
                     ) from None
             if not math.isfinite(values["p_ave_mw"]):
                 raise PipelineError(f"{path}:{line_no}: column p_ave_mw: {row[0]!r} is not finite")
+            if values["gates"] < 1:
+                raise PipelineError(f"{path}:{line_no}: column gates: {row[1]!r} is not a positive count")
             tallies = TallyCounters(
                 gates=values["gates"],
                 singles_1=values["s1_counts"],
@@ -406,7 +405,7 @@ def _write_sidecar(path, meta: dict, extra_metadata: dict | None):
         fh.write("\n")
 
 
-def write_contour_csv(grid: ContourGrid, path, extra_metadata: dict | None = None):
+def write_contour_csv(grid: ContourGrid, path):
     """Long-form CSV (sigma_s_prime, sigma_i_prime, car, g_c2, h) plus a JSON
     metadata sidecar at <path>.meta.json."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -428,7 +427,7 @@ def write_contour_csv(grid: ContourGrid, path, extra_metadata: dict | None = Non
         "sigma_i_range": [float(grid.sigma_i_values[0]), float(grid.sigma_i_values[-1])],
         "n_sigma_s": int(grid.sigma_s_values.size),
         "n_sigma_i": int(grid.sigma_i_values.size),
-    }, extra_metadata)
+    }, None)
 
 
 def write_corrected_csv(corrected: list[CorrectedEstimates], path, extra_metadata: dict | None = None):

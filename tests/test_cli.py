@@ -27,12 +27,16 @@ class TestReport:
 
     def test_writes_file_and_manifest(self, config_path, tmp_path):
         out = tmp_path / "report.json"
-        assert run(["report", "--config", config_path, "--out", str(out), "--seed", "5"]) == 0
+        assert run(["report", "--config", config_path, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["p1"] > 0
         manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
         assert manifest["subcommand"] == "report"
-        assert manifest["seed"] == 5
+        assert manifest["seed"] is None  # report draws no random numbers
         assert manifest["tool_version"]
+
+    def test_seed_is_an_mc_option_only(self, config_path, tmp_path, capsys):
+        assert run(["report", "--config", config_path, "--seed", "5"]) == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_unreadable_config_exits_1(self, tmp_path, capsys):
         assert run(["report", "--config", str(tmp_path / "nope.json")]) == 1
@@ -173,6 +177,7 @@ class TestMc:
                     "--raman", "0.05,0.08", "--p-ave", "1.1", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["predictions"]["h"] < 0.5  # Raman dilutes the herald
+        assert json.loads((tmp_path / "mc.json.manifest.json").read_text())["seed"] == 1
 
     def test_bad_raman_spec(self, config_path, tmp_path):
         assert run(["mc", "--config", config_path, "--pulses", "1000",
@@ -209,6 +214,19 @@ class TestFitAndCorrect:
 
     def test_missing_data_file(self, config_path, tmp_path):
         assert run(["fit", "--data", str(tmp_path / "none.csv")]) == 1
+
+    @pytest.mark.parametrize("subcommand", ["fit", "correct"])
+    def test_zero_gate_record_exits_1(self, data_path, config_path, tmp_path, capsys, subcommand):
+        with open(data_path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines.append("3.0,0,0,0,0,0,0,0,0,0,0")
+        path = tmp_path / "zero_gates.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = [subcommand, "--data", str(path)]
+        if subcommand == "correct":
+            argv += ["--config", config_path, "--out", str(tmp_path / "corrected.csv")]
+        assert run(argv) == 1
+        assert f"zero_gates.csv:{len(lines)}: column gates" in capsys.readouterr().err
 
 
 class TestInputBoundary:

@@ -43,6 +43,21 @@ def _numeric_paths(node, prefix=()) -> list[tuple]:
     return [path for key, child in items for path in _numeric_paths(child, prefix + (key,))]
 
 
+def _container_paths(node, prefix=()) -> list[tuple]:
+    """Key paths of every object and array in a JSON document, the root ()
+    included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    return [prefix] + [path for key, child in items for path in _container_paths(child, prefix + (key,))]
+
+
+_SCHEMA_WORDS = st.sampled_from(["efficiency", "center_nm", "fwhm_nm", "signal", "g_squared"])
+
+
 class TestConversions:
     def test_hand_computed_value(self):
         # independent route: delta_omega_fwhm = 2 pi c dl / l^2, sigma = fwhm / 2.3548
@@ -204,6 +219,21 @@ class TestJsonBoundary:
         with pytest.raises(ConfigError):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("detectors", 5),
+            ("channels", None),
+            ("detectors", ["efficiency", "dark_count_prob", "gate_divisor"]),
+            ("filters", {"signal": 3, "idler": 3}),
+        ],
+    )
+    def test_wrong_json_type_names_the_key(self, key, value):
+        doc = _demo_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(doc)
+
     @given(
         path=st.sampled_from(_numeric_paths(_demo_doc())),
         value=st.one_of(
@@ -222,6 +252,36 @@ class TestJsonBoundary:
         for step in path[:-1]:
             node = node[step]
         node[path[-1]] = value
+        try:
+            config_from_dict(doc)
+        except ConfigError:
+            pass
+
+    @given(
+        path=st.sampled_from(_container_paths(_demo_doc())),
+        value=st.one_of(
+            st.integers(),
+            st.none(),
+            st.booleans(),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.text(max_size=8),
+            _SCHEMA_WORDS,
+            st.lists(st.one_of(_SCHEMA_WORDS, st.integers(), st.none()), max_size=4),
+            st.dictionaries(_SCHEMA_WORDS, st.one_of(st.integers(), st.none()), max_size=3),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_container_node_loads_or_raises_config_error(self, path, value):
+        # the document itself, each section, each filter and each detector
+        # entry replaced by a value of another JSON type (or another shape)
+        doc = _demo_doc()
+        if path:
+            node = doc
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = value
+        else:
+            doc = value
         try:
             config_from_dict(doc)
         except ConfigError:

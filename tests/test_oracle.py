@@ -291,7 +291,8 @@ class TestGaussianClickEngine:
 
 class TestContractionsMatchEinsumReference:
     """The BLAS contractions against the plain index sums they replace, on
-    small non-square matrices."""
+    small non-square matrices; the low-gain state route runs end to end on
+    a 40 x 32 click grid."""
 
     def test_quadrature_contraction(self, symmetric):
         rng = np.random.default_rng(5)
@@ -320,11 +321,16 @@ class TestContractionsMatchEinsumReference:
         for field, value in expected.items():
             assert getattr(counts, field) == pytest.approx(value, rel=1e-12, abs=0), field
 
-    def test_low_gain_contraction(self):
-        rng = np.random.default_rng(6)
-        R = 0.1 * rng.standard_normal((7, 4))
-        t1, t2b, t3b = (rng.uniform(0.1, 0.9, n) for n in (4, 7, 7))
-        counts = oracle._low_gain_counts(R, t1, t2b, t3b)
+    def test_low_gain_contraction(self, symmetric):
+        config = symmetric(
+            0.7, 1.6, 0.01, eta_signal=0.7, eta_idler=0.4, det_efficiencies=(0.5, 0.8, 0.6)
+        )
+        grid_s, grid_i = make_click_grids(config, 32)
+        # unequal point counts keep R non-square, so a transposed band shows
+        grid_s = FrequencyGrid(grid_s.band_center, grid_s.half_width, 40)
+        counts = gaussian_click_probs(config, grid_s, grid_i, order="low_gain")
+        R = oracle._pair_kernel(config, grid_s, grid_i)
+        t1, t2b, t3b = oracle._band_transmissions(config, grid_s, grid_i)
         t2, t3 = 0.5 * t2b, 0.5 * t3b
         n_s = R @ R.T
         expected = dict(

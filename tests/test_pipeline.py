@@ -70,6 +70,17 @@ class TestRecordsCsv:
         with pytest.raises(PipelineError, match=r"bad.csv:3: column s1_counts"):
             read_power_records(path)
 
+    @pytest.mark.parametrize("gates", ["0", "-5"])
+    def test_nonpositive_gates_rejected(self, tmp_path, gates):
+        path = tmp_path / "gates.csv"
+        path.write_text(
+            "p_ave_mw,gates,s1_counts,s2_counts,s3_counts,c12,c13,c23,acc12,acc13,t123\n"
+            "0.5,1000,10,5,5,1,1,0,1,1,0\n"
+            f"0.7,{gates},0,0,0,0,0,0,0,0,0\n"
+        )
+        with pytest.raises(PipelineError, match=r"gates.csv:3: column gates"):
+            read_power_records(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("power,gates\n1.0,10\n")
@@ -122,7 +133,8 @@ class TestQuadraticFit:
         records = [PowerPointRecord(p_ave=p, tallies=tallies) for p in (0.5, 1.0, 2.0)]
         fit = fit_quadratic(records, band="signal")
         # constant data across powers: fitted curve passes near the mean
-        assert fit.evaluate(1.0) == pytest.approx(0.05, rel=0.5)
+        p = 1.0
+        assert fit.s1 * p + fit.s2 * p**2 == pytest.approx(0.05, rel=0.5)
 
     def test_unbiased_on_poisson_noise(self):
         s1, s2 = 0.061, 0.027
@@ -234,7 +246,7 @@ class TestContourSweep:
     def test_csv_and_sidecar(self, tmp_path):
         grid = sweep_contour(0.01, (0.5, 1.0), 0.5)
         path = tmp_path / "contour.csv"
-        write_contour_csv(grid, path, {"seed": 0})
+        write_contour_csv(grid, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "sigma_s_prime,sigma_i_prime,car,g_c2,h"
         assert len(lines) == 1 + 4
