@@ -82,7 +82,7 @@ def main():
         fit = pipeline.fit_quadratic(records)
         corrected = pipeline.raman_correct(records, fit, config)
         corr_path = args.out_dir / f"corrected_{label}.csv"
-        pipeline.write_corrected_csv(corrected, corr_path, {"fit_s1": fit.s1, "fit_s2": fit.s2})
+        pipeline.write_corrected_csv(corrected, corr_path)
         slope, se = pipeline.power_slope(
             powers, [c.h.value for c in corrected], [c.h.std_error for c in corrected]
         )

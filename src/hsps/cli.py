@@ -1,10 +1,12 @@
 """Command-line interface.
 
-Subcommands: report, sweep, oracle, modes, mc, fit, correct.  Every run
-that writes an output file also writes a manifest JSON next to it
-(<output>.manifest.json) recording the subcommand, config path, tool
-version and, for mc (the only command that draws random numbers), the
-seed, so runs are reproducible from their artifacts alone.
+Subcommands: report, sweep, oracle, modes, mc, fit, correct.  A run writes
+its result to --out (modes also to --sweep-out) and, once it succeeds, one
+manifest beside each such file (<output>.manifest.json): the subcommand,
+config path, tool version, every option given, the seed (null except for
+mc, the only command that draws random numbers) and what the subcommand
+adds (for correct, the fitted s1 and s2 and the tallies the Raman
+correction adjusted).  Runs are reproducible from their artifacts alone.
 
 Exit codes: 0 success (--help and --version too), 1 validation, input or
 usage error (a missing required option, an unknown flag), 2 model-validity
@@ -39,35 +41,36 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _write_manifest(out_path: str, args, subcommand: str):
-    manifest = {
-        "subcommand": subcommand,
-        "config_path": getattr(args, "config", None),
-        "seed": getattr(args, "seed", None),
-        "output_dir": os.path.dirname(os.path.abspath(out_path)),
-        "tool_version": __version__,
-        "parameters": {
-            k: v
-            for k, v in vars(args).items()
-            if k not in {"func", "config", "seed"} and v is not None
-        },
-    }
-    path = out_path + ".manifest.json"
+def _write_json(doc: dict, path: str | None):
+    """Write doc as indented JSON with sorted keys to path, or to stdout
+    without one.  Every JSON file of a run is written here."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not path:
+        sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    log.debug("manifest written to %s", path)
+        fh.write(text)
 
 
-def _emit_json(doc: dict, args, subcommand: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _write_manifest(args.out, args, subcommand)
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+def _write_manifests(args, provenance: dict):
+    """<path>.manifest.json beside each file the subcommand wrote."""
+    for path in (args.out, getattr(args, "sweep_out", None)):
+        if not path:
+            continue
+        _write_json({
+            "subcommand": args.subcommand,
+            "config_path": getattr(args, "config", None),
+            "seed": getattr(args, "seed", None),
+            "output_dir": os.path.dirname(os.path.abspath(path)),
+            "tool_version": __version__,
+            "parameters": {
+                k: v
+                for k, v in vars(args).items()
+                if k not in {"func", "subcommand", "config", "seed"} and v is not None
+            },
+            **provenance,
+        }, path + ".manifest.json")
+        log.debug("manifest written to %s.manifest.json", path)
 
 
 def _parse_grid(spec: str):
@@ -94,34 +97,29 @@ def _parse_raman(spec: str):
     return s1, s2
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     config = load_config(args.config)
     counts, figures = full_report(config)
-    _emit_json(report_to_dict(counts, figures), args, "report")
-    return 0
+    _write_json(report_to_dict(counts, figures), args.out)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     lo, hi, step = _parse_grid(args.grid)
     grid = pipeline_mod.sweep_contour(args.p_pair, (lo, hi), step)
     pipeline_mod.write_contour_csv(grid, args.out)
-    _write_manifest(args.out, args, "sweep")
     log.info("contour grid %dx%d written to %s", grid.sigma_s_values.size,
              grid.sigma_i_values.size, args.out)
-    return 0
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args):
     config = load_config(args.config)
     rows = oracle_mod.comparison_rows(config, include_gaussian=not args.no_gaussian)
     oracle_mod.write_comparison_csv(rows, args.out)
-    _write_manifest(args.out, args, "oracle")
     worst = max(rows, key=lambda r: r["rel_err"])
     log.info("worst relative error %.3e on %s", worst["rel_err"], worst["quantity"])
-    return 0
 
 
-def cmd_modes(args) -> int:
+def cmd_modes(args):
     config = load_config(args.config)
     report = modes_mod.mode_report(config)
     doc = report.as_dict()
@@ -133,12 +131,10 @@ def cmd_modes(args) -> int:
             "better_g2_strategy": ind.better_g2_strategy,
             "better_h_strategy": ind.better_h_strategy,
         }
-        _write_manifest(args.sweep_out, args, "modes")
-    _emit_json(doc, args, "modes")
-    return 0
+    _write_json(doc, args.out)
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args):
     config = load_config(args.config)
     raman = None
     if args.raman:
@@ -160,11 +156,10 @@ def cmd_mc(args) -> int:
             k: v for k, v in mc.model_predictions(model, config).items() if k != "joint"
         },
     }
-    _emit_json(doc, args, "mc")
-    return 0
+    _write_json(doc, args.out)
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     records = pipeline_mod.read_power_records(args.data)
     fit = pipeline_mod.fit_quadratic(records, band=args.band)
     doc = {
@@ -175,26 +170,30 @@ def cmd_fit(args) -> int:
         "covariance": [list(row) for row in fit.covariance],
         "n_records": len(records),
     }
-    _emit_json(doc, args, "fit")
-    return 0
+    _write_json(doc, args.out)
 
 
-def cmd_correct(args) -> int:
+def cmd_correct(args) -> dict:
+    """Returns the manifest's record of the fit and of what was corrected."""
     config = load_config(args.config)
     records = pipeline_mod.read_power_records(args.data)
     fit = pipeline_mod.fit_quadratic(records)
     corrected = pipeline_mod.raman_correct(records, fit, config)
-    pipeline_mod.write_corrected_csv(
-        corrected, args.out, {"fit_s1": fit.s1, "fit_s2": fit.s2, "data": args.data}
-    )
-    _write_manifest(args.out, args, "correct")
+    pipeline_mod.write_corrected_csv(corrected, args.out)
     powers = [c.p_ave for c in corrected]
     if len(powers) >= 3:
         slope, se = pipeline_mod.power_slope(
             powers, [c.h.value for c in corrected], [c.h.std_error for c in corrected]
         )
         log.info("corrected H slope %.4g +- %.4g per mW", slope, se)
-    return 0
+    return {
+        "fit_s1": fit.s1,
+        "fit_s2": fit.s2,
+        "correction": "linear Raman term subtracted from herald singles, "
+                      "two-fold coincidences, accidentals and triples",
+        "corrects_pairwise_coincidences": True,
+        "corrects_triples": True,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +267,8 @@ def run(argv) -> int:
         # argparse's usage-error code 2 is this tool's model-validity code
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        # a subcommand returns None or the fields it adds to its manifests
+        _write_manifests(args, args.func(args) or {})
     except ModelValidityError as exc:
         print(f"hsps: model validity: {exc}", file=sys.stderr)
         return 2
@@ -277,6 +277,7 @@ def run(argv) -> int:
             ValueError, OSError) as exc:
         print(f"hsps: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

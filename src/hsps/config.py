@@ -348,15 +348,24 @@ def make_symmetric_config(
 # }
 #
 # Fiber length and gamma, peak power, repetition rate and gate width are
-# informational: no formula reads them.
+# informational: no formula reads them.  Any other key is an error, since a
+# misspelt optional key would otherwise load its default silently.
 # ---------------------------------------------------------------------------
 
 
+def _object(node, where: str, keys: tuple[str, ...]) -> dict:
+    """node, checked to be a JSON object that holds only keys of the schema.
+    Every object of the document is read through here."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {node!r}")
+    for key in node:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{key}' in {where}; expected one of {', '.join(keys)}")
+    return node
+
+
 def _require(mapping: dict, key: str, where: str, default=None):
-    """mapping[key], required unless a default is given.  Every section is
-    read through here, so a section that is not a JSON object fails here."""
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {mapping!r}")
+    """mapping[key], required unless a default is given."""
     if key in mapping:
         return mapping[key]
     if default is None:
@@ -384,7 +393,8 @@ def _integer(mapping: dict, key: str, where: str, default: int) -> int:
     return int(number)
 
 
-def _filter_from_dict(d: dict, where: str) -> FilterSpec:
+def _filter_from_dict(d, where: str) -> FilterSpec:
+    d = _object(d, where, ("center_nm", "fwhm_nm", "transmission"))
     center = _number(d, "center_nm", where)
     return FilterSpec(
         center_wavelength=center,
@@ -393,8 +403,22 @@ def _filter_from_dict(d: dict, where: str) -> FilterSpec:
     )
 
 
+def _detector_from_dict(d, where: str) -> DetectorSpec:
+    d = _object(d, where, ("efficiency", "dark_count_prob", "gate_divisor", "dead_time_gates",
+                           "gate_width_ns"))
+    return DetectorSpec(
+        efficiency=_number(d, "efficiency", where),
+        dark_count_prob=_number(d, "dark_count_prob", where, 0.0),
+        gate_divisor=_integer(d, "gate_divisor", where, 1),
+        dead_time_gates=_integer(d, "dead_time_gates", where, 0),
+        gate_width_ns=_number(d, "gate_width_ns", where, 2.5),
+    )
+
+
 def config_from_dict(doc: dict) -> SourceConfig:
-    pump_d = _require(doc, "pump", "config")
+    doc = _object(doc, "config", ("pump", "fiber", "gain", "filters", "detectors", "channels"))
+    pump_d = _object(_require(doc, "pump", "config"), "pump",
+                     ("center_nm", "fwhm_nm", "peak_power_w", "rep_rate_hz"))
     center = _number(pump_d, "center_nm", "pump")
     pump = PumpSpec(
         center_wavelength=center,
@@ -402,7 +426,8 @@ def config_from_dict(doc: dict) -> SourceConfig:
         peak_power=_number(pump_d, "peak_power_w", "pump", 1.0),
         repetition_rate=_number(pump_d, "rep_rate_hz", "pump", 41e6),
     )
-    fiber_d = _require(doc, "fiber", "config")
+    fiber_d = _object(_require(doc, "fiber", "config"), "fiber",
+                      ("length_m", "gamma_per_w_km", "transmission"))
     fiber = FiberSpec(
         length=_number(fiber_d, "length_m", "fiber", FiberSpec.length),
         nonlinear_coefficient=_number(
@@ -410,24 +435,17 @@ def config_from_dict(doc: dict) -> SourceConfig:
         ),
         transmission=_number(fiber_d, "transmission", "fiber", 1.0),
     )
-    gain = GainParameter(_number(_require(doc, "gain", "config"), "g_squared", "gain"))
-    filters = _require(doc, "filters", "config")
+    gain_d = _object(_require(doc, "gain", "config"), "gain", ("g_squared",))
+    gain = GainParameter(_number(gain_d, "g_squared", "gain"))
+    filters = _object(_require(doc, "filters", "config"), "filters", ("signal", "idler"))
     detectors_d = _require(doc, "detectors", "config")
     if not isinstance(detectors_d, list):
         raise ConfigError(f"detectors must be a JSON array, got {detectors_d!r}")
     if len(detectors_d) != 3:
         raise ConfigError("config needs exactly three detector entries")
-    detectors = tuple(
-        DetectorSpec(
-            efficiency=_number(d, "efficiency", f"detectors[{i}]"),
-            dark_count_prob=_number(d, "dark_count_prob", f"detectors[{i}]", 0.0),
-            gate_divisor=_integer(d, "gate_divisor", f"detectors[{i}]", 1),
-            dead_time_gates=_integer(d, "dead_time_gates", f"detectors[{i}]", 0),
-            gate_width_ns=_number(d, "gate_width_ns", f"detectors[{i}]", 2.5),
-        )
-        for i, d in enumerate(detectors_d)
-    )
-    channels_d = _require(doc, "channels", "config", {})
+    detectors = tuple(_detector_from_dict(d, f"detectors[{i}]") for i, d in enumerate(detectors_d))
+    channels_d = _object(_require(doc, "channels", "config", {}), "channels",
+                         ("signal_extra", "idler_extra"))
     channels = ChannelExtras(
         signal=_number(channels_d, "signal_extra", "channels", 1.0),
         idler=_number(channels_d, "idler_extra", "channels", 1.0),

@@ -23,13 +23,8 @@ import numpy as np
 
 from .config import SourceConfig
 from .oracle import FrequencyGrid, _both_grids_or_none, make_default_grids
+from .pipeline import sweep_contour
 from .spectral import filter_amplitude, pump_envelope
-from .stats import (
-    car,
-    collection_efficiency,
-    heralded_g2_approx,
-    unconditional_g2,
-)
 
 SINGLE_MODE_K_MAX = 1.05
 
@@ -167,24 +162,18 @@ def indistinguishability_report(p_pair: float) -> IndistinguishabilityReport:
 
     Strategy "narrow_idler" pins the herald band at 0.3 pump widths and
     sweeps the signal bandwidth from 0.1 to 3.0 in steps of 0.05;
-    "narrow_signal" is the mirror image.  Both give the same CAR at mirrored
+    "narrow_signal" is the mirror image.  Both curves are read off the
+    :func:`~hsps.pipeline.sweep_contour` surfaces, at the 0.3 column and
+    row.  Both give the same CAR at mirrored
     bandwidths (the CAR is symmetric in the two bands) but different
     heralding efficiency, which favors narrowing the heralding band.
     """
-    fixed_sigma = 0.3
-    free_values = np.arange(0.1, 3.0001, 0.05)
-
-    def curve(strategy: str) -> StrategyCurve:
-        if strategy == NARROW_IDLER:
-            sig_s, sig_i = free_values, fixed_sigma
-        else:
-            sig_s, sig_i = fixed_sigma, free_values
-        g2v = heralded_g2_approx(unconditional_g2(sig_s), car(p_pair, sig_s, sig_i))
-        hv = collection_efficiency(sig_s, sig_i)
-        return StrategyCurve(strategy=strategy, sigma_free=free_values.copy(), g_c2=g2v, h=hv)
-
-    idler_curve = curve(NARROW_IDLER)
-    signal_curve = curve(NARROW_SIGNAL)
+    grid = sweep_contour(p_pair)
+    sig = grid.sigma_s_values          # the same axis as sigma_i_values
+    k = int(np.argmin(np.abs(sig - 0.3)))
+    g2, h = grid.surfaces["g_c2"], grid.surfaces["h"]
+    idler_curve = StrategyCurve(NARROW_IDLER, sig, g_c2=g2[:, k], h=h[:, k])
+    signal_curve = StrategyCurve(NARROW_SIGNAL, sig, g_c2=g2[k, :], h=h[k, :])
     better_g2 = NARROW_IDLER if idler_curve.g_c2.min() <= signal_curve.g_c2.min() else NARROW_SIGNAL
     better_h = NARROW_IDLER if idler_curve.h.max() >= signal_curve.h.max() else NARROW_SIGNAL
     return IndistinguishabilityReport(

@@ -104,9 +104,6 @@ class EstimatorResult:
         if self.std_error < 0:
             raise ValueError("std_error must be nonnegative")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Estimates:

@@ -11,7 +11,7 @@ singles and from every accidental-bearing quantity, giving corrected CAR,
 heralded g2 and heralding efficiency that can be compared against the
 closed forms.  See docs/raman_correction.md for the subtraction algebra;
 the correction adjusts two-fold coincidences and triples as well as
-singles, which is recorded in the output metadata.
+singles, which ``hsps correct`` records in its manifest.
 
 CSV schema for power records (header mandatory, comma separated, UTF-8):
 
@@ -22,14 +22,12 @@ CSV schema for power records (header mandatory, comma separated, UTF-8):
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__ as _version
 from .config import ConfigWarning, SourceConfig, normalize
 from .montecarlo import (
     EstimatorResult,
@@ -109,8 +107,9 @@ def write_power_records(path, records: list[PowerPointRecord]):
 def read_power_records(path) -> list[PowerPointRecord]:
     """Parse and validate a power-record CSV, sorted by increasing power.
 
-    Schema violations name the offending row and column; duplicate power
-    points only warn.
+    Schema violations and tallies that contradict each other name the
+    offending row (and column, for a cell); duplicate power points only
+    warn.
     """
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -141,19 +140,22 @@ def read_power_records(path) -> list[PowerPointRecord]:
                 raise PipelineError(f"{path}:{line_no}: column p_ave_mw: {row[0]!r} is not finite")
             if values["gates"] < 1:
                 raise PipelineError(f"{path}:{line_no}: column gates: {row[1]!r} is not a positive count")
-            tallies = TallyCounters(
-                gates=values["gates"],
-                singles_1=values["s1_counts"],
-                singles_2=values["s2_counts"],
-                singles_3=values["s3_counts"],
-                coinc_12=values["c12"],
-                coinc_13=values["c13"],
-                coinc_23=values["c23"],
-                acc_12=values["acc12"],
-                acc_13=values["acc13"],
-                triples_123=values["t123"],
-            )
-            records.append(PowerPointRecord(p_ave=values["p_ave_mw"], tallies=tallies))
+            try:
+                tallies = TallyCounters(
+                    gates=values["gates"],
+                    singles_1=values["s1_counts"],
+                    singles_2=values["s2_counts"],
+                    singles_3=values["s3_counts"],
+                    coinc_12=values["c12"],
+                    coinc_13=values["c13"],
+                    coinc_23=values["c23"],
+                    acc_12=values["acc12"],
+                    acc_13=values["acc13"],
+                    triples_123=values["t123"],
+                )
+                records.append(PowerPointRecord(p_ave=values["p_ave_mw"], tallies=tallies))
+            except ValueError as exc:  # tallies that contradict each other, p_ave <= 0
+                raise PipelineError(f"{path}:{line_no}: {exc}") from None
     powers = [r.p_ave for r in records]
     if len(set(powers)) != len(powers):
         warnings.warn(f"{path}: duplicate power points", ConfigWarning, stacklevel=2)
@@ -208,12 +210,6 @@ class CorrectedEstimates:
     h: EstimatorResult
     raw_h: EstimatorResult
     raman_fraction: float          # Raman share of the herald singles
-
-    def as_dict(self) -> dict:
-        doc = asdict(self)
-        for key in ("car", "g_c2", "h", "raw_h"):
-            doc[key] = getattr(self, key).as_dict()
-        return doc
 
 
 def raman_correct(
@@ -396,18 +392,8 @@ def sweep_contour(
     )
 
 
-def _write_sidecar(path, meta: dict, extra_metadata: dict | None):
-    """Write meta, the tool version and extra_metadata (which wins on a
-    clash) as the JSON sidecar <path>.meta.json."""
-    meta = {**meta, "tool_version": _version, **(extra_metadata or {})}
-    with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_contour_csv(grid: ContourGrid, path):
-    """Long-form CSV (sigma_s_prime, sigma_i_prime, car, g_c2, h) plus a JSON
-    metadata sidecar at <path>.meta.json."""
+    """Long-form CSV (sigma_s_prime, sigma_i_prime, car, g_c2, h)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sigma_s_prime", "sigma_i_prime", "car", "g_c2", "h"])
@@ -421,18 +407,10 @@ def write_contour_csv(grid: ContourGrid, path):
                         f"{grid.surfaces['h'][a, b]:.8g}",
                     ]
                 )
-    _write_sidecar(path, {
-        "p_pair": grid.p_pair,
-        "sigma_s_range": [float(grid.sigma_s_values[0]), float(grid.sigma_s_values[-1])],
-        "sigma_i_range": [float(grid.sigma_i_values[0]), float(grid.sigma_i_values[-1])],
-        "n_sigma_s": int(grid.sigma_s_values.size),
-        "n_sigma_i": int(grid.sigma_i_values.size),
-    }, None)
 
 
-def write_corrected_csv(corrected: list[CorrectedEstimates], path, extra_metadata: dict | None = None):
-    """Corrected estimates per power point, with a metadata sidecar recording
-    that coincidences and triples were Raman-adjusted along with singles."""
+def write_corrected_csv(corrected: list[CorrectedEstimates], path):
+    """Corrected estimates per power point, one row each."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -452,9 +430,3 @@ def write_corrected_csv(corrected: list[CorrectedEstimates], path, extra_metadat
                     f"{c.raman_fraction:.6g}",
                 ]
             )
-    _write_sidecar(path, {
-        "correction": "linear Raman term subtracted from herald singles, "
-                      "two-fold coincidences, accidentals and triples",
-        "corrects_pairwise_coincidences": True,
-        "corrects_triples": True,
-    }, extra_metadata)

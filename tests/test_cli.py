@@ -74,6 +74,52 @@ class TestReport:
         assert {key for key, value in doc.items() if value is None} == undefined
 
 
+@pytest.fixture
+def records_path(tmp_path):
+    config = make_symmetric_config(1.0, 1.0, 0.02, det_efficiencies=(0.5, 0.8, 0.8))
+    records = pl.synthesize_power_sweep(config, 0.05, 0.08, [0.5, 0.75, 1.0, 1.25], 100_000,
+                                        seed=13)
+    path = tmp_path / "records.csv"
+    pl.write_power_records(path, records)
+    return str(path)
+
+
+class TestOneSidecar:
+    """A run leaves its output and one manifest beside it, nothing else."""
+
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [
+            (["report", "--config", "{config}", "--out", "report.json"], ["report.json"]),
+            (["sweep", "--p-pair", "0.02", "--grid", "0.5:1.5:0.25", "--out", "fig.csv"],
+             ["fig.csv"]),
+            (["oracle", "--config", "{config}", "--no-gaussian", "--out", "cmp.csv"], ["cmp.csv"]),
+            (["modes", "--config", "{config}", "--out", "modes.json",
+              "--sweep-out", "strategy.csv"], ["modes.json", "strategy.csv"]),
+            (["mc", "--config", "{config}", "--pulses", "100000", "--out", "mc.json"],
+             ["mc.json"]),
+            (["fit", "--data", "{records}", "--out", "fit.json"], ["fit.json"]),
+            (["correct", "--data", "{records}", "--config", "{config}", "--out", "corr.csv"],
+             ["corr.csv"]),
+        ],
+        ids=["report", "sweep", "oracle", "modes", "mc", "fit", "correct"],
+    )
+    def test_output_and_manifest_only(self, config_path, records_path, tmp_path, argv, outputs):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = [arg.format(config=config_path, records=records_path) for arg in argv]
+        argv = [str(out_dir / arg) if arg in outputs else arg for arg in argv]
+        assert run(argv) == 0
+        expected = {name for out in outputs for name in (out, out + ".manifest.json")}
+        assert {p.name for p in out_dir.iterdir()} == expected
+        for out in outputs:
+            text = (out_dir / (out + ".manifest.json")).read_text()
+            manifest = json.loads(text)
+            assert manifest["subcommand"] == argv[0]
+            assert "subcommand" not in manifest["parameters"]
+            assert text.count('"tool_version"') == 1
+
+
 class TestUsageErrors:
     """argparse's own usage-error code 2 would read as a model-validity
     failure; usage errors exit 1, --help and --version exit 0."""
@@ -105,8 +151,8 @@ class TestSweep:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         cell = next(r for r in rows if r[0] == "1" and r[1] == "1")
         assert float(cell[3]) == pytest.approx(0.2591435, abs=1e-4)
-        meta = json.loads((tmp_path / "fig.csv.meta.json").read_text())
-        assert meta["p_pair"] == 0.02
+        manifest = json.loads((tmp_path / "fig.csv.manifest.json").read_text())
+        assert manifest["parameters"]["p_pair"] == 0.02
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -251,6 +297,20 @@ class TestInputBoundary:
         path.write_text(json.dumps(doc))  # NaN / Infinity tokens, as json allows
         assert run(["report", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("detectors", "dark_count", 0.01), ("filters", "transmision", 0.5)],
+    )
+    def test_misspelt_optional_key_exits_1(self, tmp_path, capsys, section, key, value):
+        # each used to load with its default (dark_count_prob 0, transmission 1)
+        with open("configs/demo.json", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        (doc[section][0] if section == "detectors" else doc[section]["signal"])[key] = value
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(doc))
+        assert run(["report", "--config", str(path)]) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, value", [("filters", 1e-320), ("pump", 1e200)])
     def test_extreme_wavelength_exits_1(self, tmp_path, capsys, section, value):

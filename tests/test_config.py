@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -199,6 +200,31 @@ class TestJsonBoundary:
         assert config_from_dict(doc) == full  # demo carries the defaults
         doc["fiber"]["length_m"] = -1.0
         with pytest.raises(ConfigError, match="fiber length"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path, key, where",
+        [
+            ((), "comment", "config"),
+            (("pump",), "fwhm", "pump"),
+            (("fiber",), "lenght_m", "fiber"),
+            (("gain",), "g2", "gain"),
+            (("filters",), "pump", "filters"),
+            (("filters", "signal"), "transmision", "filters.signal"),
+            (("filters", "idler"), "sigma", "filters.idler"),
+            (("detectors", 1), "dark_count", "detectors[1]"),
+            (("channels",), "signal", "channels"),
+        ],
+        ids=["config", "pump", "fiber", "gain", "filters", "filters.signal", "filters.idler",
+             "detectors[1]", "channels"],
+    )
+    def test_unknown_key_names_section_and_key(self, path, key, where):
+        doc = _demo_doc()
+        node = doc
+        for step in path:
+            node = node[step]
+        node[key] = 0.5
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key '{key}' in {where};")):
             config_from_dict(doc)
 
     def test_unreadable_file(self, tmp_path):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hsps.config import ConfigWarning
+from hsps.cli import run
+from hsps.config import ConfigWarning, config_to_dict
 from hsps import pipeline as pl
 from hsps.montecarlo import TallyCounters, estimate
 from hsps.pipeline import (
@@ -17,8 +18,6 @@ from hsps.pipeline import (
     read_power_records,
     sweep_contour,
     synthesize_power_sweep,
-    write_contour_csv,
-    write_corrected_csv,
     write_power_records,
 )
 from hsps.stats import car as car_closed_form
@@ -79,6 +78,27 @@ class TestRecordsCsv:
             f"0.7,{gates},0,0,0,0,0,0,0,0,0\n"
         )
         with pytest.raises(PipelineError, match=r"gates.csv:3: column gates"):
+            read_power_records(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.7,1000,3,5,5,4,1,0,1,1,0", "coinc_12 exceeds its constituent singles"),
+            ("0.7,1000,10,5,5,1,1,0,-1,1,0", "acc_12 must be nonnegative"),
+            ("0.7,1000,1001,5,5,1,1,0,1,1,0", "singles exceed the number of gates"),
+            ("-0.7,1000,10,5,5,1,1,0,1,1,0", "p_ave must be positive"),
+        ],
+        ids=["coincidences-above-singles", "negative-accidentals", "singles-above-gates",
+             "negative-power"],
+    )
+    def test_inconsistent_record_names_row(self, tmp_path, row, message):
+        path = tmp_path / "incons.csv"
+        path.write_text(
+            "p_ave_mw,gates,s1_counts,s2_counts,s3_counts,c12,c13,c23,acc12,acc13,t123\n"
+            "0.5,1000,10,5,5,1,1,0,1,1,0\n"
+            f"{row}\n"
+        )
+        with pytest.raises(PipelineError, match=rf"incons.csv:3: {message}"):
             read_power_records(path)
 
     def test_wrong_header_rejected(self, tmp_path):
@@ -213,14 +233,21 @@ class TestRamanCorrection:
 
     def test_corrected_csv_metadata_records_choice(self, symmetric, tmp_path):
         config, records, fit = self._chain(symmetric, s1=0.05, s2=0.08, pulses=500_000)
-        corrected = raman_correct(records, fit, config)
+        records_path, config_path = tmp_path / "records.csv", tmp_path / "config.json"
+        write_power_records(records_path, records)
+        config_path.write_text(json.dumps(config_to_dict(config)))
         path = tmp_path / "corrected.csv"
-        write_corrected_csv(corrected, path)
-        meta = json.loads((tmp_path / "corrected.csv.meta.json").read_text())
-        assert meta["corrects_pairwise_coincidences"] is True
-        assert meta["corrects_triples"] is True
+        assert run(["correct", "--data", str(records_path), "--config", str(config_path),
+                    "--out", str(path)]) == 0
+        manifest = json.loads((tmp_path / "corrected.csv.manifest.json").read_text())
+        assert manifest["corrects_pairwise_coincidences"] is True
+        assert manifest["corrects_triples"] is True
+        assert "two-fold coincidences, accidentals and triples" in manifest["correction"]
+        assert manifest["fit_s1"] == pytest.approx(fit.s1, rel=1e-12)
+        assert manifest["fit_s2"] == pytest.approx(fit.s2, rel=1e-12)
+        assert manifest["parameters"]["data"] == str(records_path)
         lines = path.read_text().splitlines()
-        assert len(lines) == 1 + len(corrected)
+        assert len(lines) == 1 + len(records)
 
 
 class TestContourSweep:
@@ -244,15 +271,18 @@ class TestContourSweep:
         assert np.all(np.diff(h, axis=1) < 0)   # falls with idler bandwidth
 
     def test_csv_and_sidecar(self, tmp_path):
-        grid = sweep_contour(0.01, (0.5, 1.0), 0.5)
+        # the manifest of hsps sweep is the CSV's one sidecar
         path = tmp_path / "contour.csv"
-        write_contour_csv(grid, path)
+        assert run(["sweep", "--p-pair", "0.01", "--grid", "0.5:1.0:0.5",
+                    "--out", str(path)]) == 0
         lines = path.read_text().splitlines()
         assert lines[0] == "sigma_s_prime,sigma_i_prime,car,g_c2,h"
         assert len(lines) == 1 + 4
-        meta = json.loads((tmp_path / "contour.csv.meta.json").read_text())
-        assert meta["p_pair"] == 0.01
-        assert meta["tool_version"]
+        manifest = json.loads((tmp_path / "contour.csv.manifest.json").read_text())
+        assert manifest["parameters"]["p_pair"] == 0.01
+        assert manifest["tool_version"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "contour.csv", "contour.csv.manifest.json"]
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(PipelineError):
