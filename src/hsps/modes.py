@@ -164,9 +164,9 @@ def indistinguishability_report(p_pair: float) -> IndistinguishabilityReport:
     sweeps the signal bandwidth from 0.1 to 3.0 in steps of 0.05;
     "narrow_signal" is the mirror image.  Both curves are read off the
     :func:`~hsps.pipeline.sweep_contour` surfaces, at the 0.3 column and
-    row.  Both give the same CAR at mirrored
-    bandwidths (the CAR is symmetric in the two bands) but different
-    heralding efficiency, which favors narrowing the heralding band.
+    row.  Both give the same CAR at mirrored bandwidths (the CAR is
+    symmetric in the two bands) but different heralding efficiency, which
+    favors narrowing the heralding band.
     """
     grid = sweep_contour(p_pair)
     sig = grid.sigma_s_values          # the same axis as sigma_i_values
