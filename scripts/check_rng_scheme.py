@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     samples = {name: [] for name in (*SAME_SLOT, *ACCIDENTAL)}
     gates = 0
     for seed in range(args.seeds):
-        tallies = mc.simulate(model, args.pulses, seed=seed).as_dict()
+        tallies = dataclasses.asdict(mc.simulate(model, args.pulses, seed=seed))
         gates = tallies["gates"]
         for name in samples:
             samples[name].append(tallies[name])

@@ -23,6 +23,7 @@ import logging
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .config import ConfigError, ModelValidityError, load_config
@@ -150,8 +151,8 @@ def cmd_mc(args):
         "seed": args.seed,
         "pulses": args.pulses,
         "rng_scheme": mc.RNG_SCHEME,
-        "tallies": tallies.as_dict(),
-        "estimates": estimates.as_dict(),
+        "tallies": asdict(tallies),
+        "estimates": asdict(estimates),
         "predictions": {
             k: v for k, v in mc.model_predictions(model, config).items() if k != "joint"
         },

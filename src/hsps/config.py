@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 # 2*pi*c with c in nm/s, so that omega [rad/s] = TWO_PI_C_NM / lambda [nm]
 TWO_PI_C_NM = 2.0 * math.pi * 2.99792458e17
@@ -297,12 +297,7 @@ def make_symmetric_config(
     survives the nm round-trip at double precision.
     """
     omega_p = 1e4
-    pump = PumpSpec(
-        center_wavelength=TWO_PI_C_NM / omega_p,
-        bandwidth_sigma=1.0,
-        peak_power=1.0,
-        repetition_rate=41e6,
-    )
+    pump = PumpSpec(center_wavelength=TWO_PI_C_NM / omega_p, bandwidth_sigma=1.0)
     signal = FilterSpec(
         center_wavelength=TWO_PI_C_NM / (omega_p + 60.0),
         sigma=float(sigma_s_prime),
@@ -324,7 +319,7 @@ def make_symmetric_config(
     )
     return SourceConfig(
         pump=pump,
-        fiber=FiberSpec(transmission=1.0),
+        fiber=FiberSpec(),
         gain=GainParameter(g_squared),
         signal_filter=signal,
         idler_filter=idler,
@@ -333,24 +328,24 @@ def make_symmetric_config(
 
 
 # ---------------------------------------------------------------------------
-# JSON boundary.  Schema (keys in [brackets] are optional and default to
-# the dataclass defaults; a key that is present is validated either way):
-#
-# {
-#   "pump":   {"center_nm", "fwhm_nm", ["peak_power_w"], ["rep_rate_hz"]},
-#   "fiber":  {["length_m"], ["gamma_per_w_km"], ["transmission"]},
-#   "gain":   {"g_squared"},
-#   "filters": {"signal": {"center_nm", "fwhm_nm", ["transmission"]},
-#               "idler":  {"center_nm", "fwhm_nm", ["transmission"]}},
-#   "detectors": [ {"efficiency", ["dark_count_prob"], ["gate_divisor"],
-#                   ["dead_time_gates"], ["gate_width_ns"]} x3 ],
-#   ["channels": {["signal_extra"], ["idler_extra"]}]
-# }
-#
-# Fiber length and gamma, peak power, repetition rate and gate width are
-# informational: no formula reads them.  Any other key is an error, since a
-# misspelt optional key would otherwise load its default silently.
+# JSON boundary.  The document is {"pump", "fiber", "gain", "filters":
+# {"signal", "idler"}, "detectors": [three entries], ["channels"]}.  Each
+# object is read and written through one key table below, whose keys name
+# the fields of the object's dataclass in field order.  A key is optional
+# when its field has a default, and a key that is present is validated
+# either way.  Fiber length and gamma, peak power, repetition rate and gate
+# width are informational: no formula reads them.  Any other key is an
+# error, since a misspelt optional key would otherwise load its default
+# silently.
 # ---------------------------------------------------------------------------
+
+_PUMP_KEYS = ("center_nm", "fwhm_nm", "peak_power_w", "rep_rate_hz")
+_FIBER_KEYS = ("length_m", "gamma_per_w_km", "transmission")
+_GAIN_KEYS = ("g_squared",)
+_FILTER_KEYS = ("center_nm", "fwhm_nm", "transmission")
+_DETECTOR_KEYS = ("efficiency", "dark_count_prob", "gate_divisor", "dead_time_gates",
+                  "gate_width_ns")
+_CHANNEL_KEYS = ("signal_extra", "idler_extra")
 
 
 def _object(node, where: str, keys: tuple[str, ...]) -> dict:
@@ -373,138 +368,76 @@ def _require(mapping: dict, key: str, where: str, default=None):
     return default
 
 
-def _number(mapping: dict, key: str, where: str, default: float | None = None) -> float:
-    """Finite float at mapping[key], required unless a default is given.
-    JSON admits NaN and Infinity, which no field of the model can hold."""
-    value = _require(mapping, key, where, default)
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    return number
+def _spec_from_dict(cls, node, where: str, keys: tuple[str, ...]):
+    """cls from the JSON object node, whose keys name cls's fields in order.
+
+    Every value must be a finite number (JSON admits NaN and Infinity, which
+    no field of the model can hold), an int field an integral one, and
+    fwhm_nm is converted to a sigma at the object's own center_nm.
+    """
+    node = _object(node, where, keys)
+    values = {}
+    for key, f in zip(keys, fields(cls), strict=True):
+        value = _require(node, key, where, None if f.default is MISSING else f.default)
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+        if f.type == "int":
+            if not number.is_integer():
+                raise ConfigError(f"{where}.{key} must be an integer, got {number!r}")
+            number = int(number)
+        if key == "fwhm_nm":
+            number = fwhm_nm_to_sigma(number, values["center_wavelength"])
+        values[f.name] = number
+    return cls(**values)
 
 
-def _integer(mapping: dict, key: str, where: str, default: int) -> int:
-    number = _number(mapping, key, where, default)
-    if not number.is_integer():
-        raise ConfigError(f"{where}.{key} must be an integer, got {number!r}")
-    return int(number)
-
-
-def _filter_from_dict(d, where: str) -> FilterSpec:
-    d = _object(d, where, ("center_nm", "fwhm_nm", "transmission"))
-    center = _number(d, "center_nm", where)
-    return FilterSpec(
-        center_wavelength=center,
-        sigma=fwhm_nm_to_sigma(_number(d, "fwhm_nm", where), center),
-        transmission=_number(d, "transmission", where, 1.0),
-    )
-
-
-def _detector_from_dict(d, where: str) -> DetectorSpec:
-    d = _object(d, where, ("efficiency", "dark_count_prob", "gate_divisor", "dead_time_gates",
-                           "gate_width_ns"))
-    return DetectorSpec(
-        efficiency=_number(d, "efficiency", where),
-        dark_count_prob=_number(d, "dark_count_prob", where, 0.0),
-        gate_divisor=_integer(d, "gate_divisor", where, 1),
-        dead_time_gates=_integer(d, "dead_time_gates", where, 0),
-        gate_width_ns=_number(d, "gate_width_ns", where, 2.5),
-    )
+def _spec_to_dict(spec, keys: tuple[str, ...]) -> dict:
+    """Inverse of :func:`_spec_from_dict`."""
+    doc = {key: getattr(spec, f.name) for key, f in zip(keys, fields(spec), strict=True)}
+    if "fwhm_nm" in doc:
+        doc["fwhm_nm"] = sigma_to_fwhm_nm(doc["fwhm_nm"], spec.center_wavelength)
+    return doc
 
 
 def config_from_dict(doc: dict) -> SourceConfig:
     doc = _object(doc, "config", ("pump", "fiber", "gain", "filters", "detectors", "channels"))
-    pump_d = _object(_require(doc, "pump", "config"), "pump",
-                     ("center_nm", "fwhm_nm", "peak_power_w", "rep_rate_hz"))
-    center = _number(pump_d, "center_nm", "pump")
-    pump = PumpSpec(
-        center_wavelength=center,
-        bandwidth_sigma=fwhm_nm_to_sigma(_number(pump_d, "fwhm_nm", "pump"), center),
-        peak_power=_number(pump_d, "peak_power_w", "pump", 1.0),
-        repetition_rate=_number(pump_d, "rep_rate_hz", "pump", 41e6),
-    )
-    fiber_d = _object(_require(doc, "fiber", "config"), "fiber",
-                      ("length_m", "gamma_per_w_km", "transmission"))
-    fiber = FiberSpec(
-        length=_number(fiber_d, "length_m", "fiber", FiberSpec.length),
-        nonlinear_coefficient=_number(
-            fiber_d, "gamma_per_w_km", "fiber", FiberSpec.nonlinear_coefficient
-        ),
-        transmission=_number(fiber_d, "transmission", "fiber", 1.0),
-    )
-    gain_d = _object(_require(doc, "gain", "config"), "gain", ("g_squared",))
-    gain = GainParameter(_number(gain_d, "g_squared", "gain"))
-    filters = _object(_require(doc, "filters", "config"), "filters", ("signal", "idler"))
-    detectors_d = _require(doc, "detectors", "config")
-    if not isinstance(detectors_d, list):
-        raise ConfigError(f"detectors must be a JSON array, got {detectors_d!r}")
-    if len(detectors_d) != 3:
+    pump = _spec_from_dict(PumpSpec, _require(doc, "pump", "config"), "pump", _PUMP_KEYS)
+    fiber = _spec_from_dict(FiberSpec, _require(doc, "fiber", "config"), "fiber", _FIBER_KEYS)
+    gain = _spec_from_dict(GainParameter, _require(doc, "gain", "config"), "gain", _GAIN_KEYS)
+    bands = ("signal", "idler")
+    filters = _object(_require(doc, "filters", "config"), "filters", bands)
+    detectors = _require(doc, "detectors", "config")
+    if not isinstance(detectors, list):
+        raise ConfigError(f"detectors must be a JSON array, got {detectors!r}")
+    if len(detectors) != 3:
         raise ConfigError("config needs exactly three detector entries")
-    detectors = tuple(_detector_from_dict(d, f"detectors[{i}]") for i, d in enumerate(detectors_d))
-    channels_d = _object(_require(doc, "channels", "config", {}), "channels",
-                         ("signal_extra", "idler_extra"))
-    channels = ChannelExtras(
-        signal=_number(channels_d, "signal_extra", "channels", 1.0),
-        idler=_number(channels_d, "idler_extra", "channels", 1.0),
+    detectors = tuple(_spec_from_dict(DetectorSpec, d, f"detectors[{i}]", _DETECTOR_KEYS)
+                      for i, d in enumerate(detectors))
+    channels = _spec_from_dict(ChannelExtras, _require(doc, "channels", "config", {}),
+                               "channels", _CHANNEL_KEYS)
+    signal, idler = (
+        _spec_from_dict(FilterSpec, _require(filters, band, "filters"), f"filters.{band}",
+                        _FILTER_KEYS)
+        for band in bands
     )
-    return SourceConfig(
-        pump=pump,
-        fiber=fiber,
-        gain=gain,
-        signal_filter=_filter_from_dict(_require(filters, "signal", "filters"), "filters.signal"),
-        idler_filter=_filter_from_dict(_require(filters, "idler", "filters"), "filters.idler"),
-        detectors=detectors,
-        channels=channels,
-    )
+    return SourceConfig(pump, fiber, gain, signal, idler, detectors, channels)
 
 
 def config_to_dict(config: SourceConfig) -> dict:
     return {
-        "pump": {
-            "center_nm": config.pump.center_wavelength,
-            "fwhm_nm": sigma_to_fwhm_nm(config.pump.bandwidth_sigma, config.pump.center_wavelength),
-            "peak_power_w": config.pump.peak_power,
-            "rep_rate_hz": config.pump.repetition_rate,
-        },
-        "fiber": {
-            "length_m": config.fiber.length,
-            "gamma_per_w_km": config.fiber.nonlinear_coefficient,
-            "transmission": config.fiber.transmission,
-        },
-        "gain": {"g_squared": config.gain.g_squared},
+        "pump": _spec_to_dict(config.pump, _PUMP_KEYS),
+        "fiber": _spec_to_dict(config.fiber, _FIBER_KEYS),
+        "gain": _spec_to_dict(config.gain, _GAIN_KEYS),
         "filters": {
-            "signal": {
-                "center_nm": config.signal_filter.center_wavelength,
-                "fwhm_nm": sigma_to_fwhm_nm(
-                    config.signal_filter.sigma, config.signal_filter.center_wavelength
-                ),
-                "transmission": config.signal_filter.transmission,
-            },
-            "idler": {
-                "center_nm": config.idler_filter.center_wavelength,
-                "fwhm_nm": sigma_to_fwhm_nm(
-                    config.idler_filter.sigma, config.idler_filter.center_wavelength
-                ),
-                "transmission": config.idler_filter.transmission,
-            },
+            "signal": _spec_to_dict(config.signal_filter, _FILTER_KEYS),
+            "idler": _spec_to_dict(config.idler_filter, _FILTER_KEYS),
         },
-        "detectors": [
-            {
-                "efficiency": d.efficiency,
-                "dark_count_prob": d.dark_count_prob,
-                "gate_divisor": d.gate_divisor,
-                "dead_time_gates": d.dead_time_gates,
-                "gate_width_ns": d.gate_width_ns,
-            }
-            for d in config.detectors
-        ],
-        "channels": {
-            "signal_extra": config.channels.signal,
-            "idler_extra": config.channels.idler,
-        },
+        "detectors": [_spec_to_dict(d, _DETECTOR_KEYS) for d in config.detectors],
+        "channels": _spec_to_dict(config.channels, _CHANNEL_KEYS),
     }
 
 

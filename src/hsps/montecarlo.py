@@ -38,7 +38,7 @@ that the mean pair-produced idler photon number equals it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,9 +90,6 @@ class TallyCounters:
         if max(self.singles_1, self.singles_2, self.singles_3) > self.gates:
             raise ValueError("singles exceed the number of gates")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EstimatorResult:
@@ -111,9 +108,6 @@ class Estimates:
     g_c2: EstimatorResult
     h: EstimatorResult
     eta_d: EstimatorResult
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class CorrectionRegimeError(RuntimeError):
     these records."""
 
 
+# After p_ave_mw, the columns are the fields of TallyCounters in its order
+# (gates, singles_1..3, coinc_12/13/23, acc_12/13, triples_123).
 RECORD_COLUMNS = (
     "p_ave_mw", "gates", "s1_counts", "s2_counts", "s3_counts",
     "c12", "c13", "c23", "acc12", "acc13", "t123",
@@ -95,13 +97,7 @@ def write_power_records(path, records: list[PowerPointRecord]):
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
         for rec in records:
-            t = rec.tallies
-            writer.writerow(
-                [
-                    f"{rec.p_ave:.10g}", t.gates, t.singles_1, t.singles_2, t.singles_3,
-                    t.coinc_12, t.coinc_13, t.coinc_23, t.acc_12, t.acc_13, t.triples_123,
-                ]
-            )
+            writer.writerow([f"{rec.p_ave:.10g}", *astuple(rec.tallies)])
 
 
 def read_power_records(path) -> list[PowerPointRecord]:
@@ -141,18 +137,7 @@ def read_power_records(path) -> list[PowerPointRecord]:
             if values["gates"] < 1:
                 raise PipelineError(f"{path}:{line_no}: column gates: {row[1]!r} is not a positive count")
             try:
-                tallies = TallyCounters(
-                    gates=values["gates"],
-                    singles_1=values["s1_counts"],
-                    singles_2=values["s2_counts"],
-                    singles_3=values["s3_counts"],
-                    coinc_12=values["c12"],
-                    coinc_13=values["c13"],
-                    coinc_23=values["c23"],
-                    acc_12=values["acc12"],
-                    acc_13=values["acc13"],
-                    triples_123=values["t123"],
-                )
+                tallies = TallyCounters(*(values[c] for c in RECORD_COLUMNS[1:]))
                 records.append(PowerPointRecord(p_ave=values["p_ave_mw"], tallies=tallies))
             except ValueError as exc:  # tallies that contradict each other, p_ave <= 0
                 raise PipelineError(f"{path}:{line_no}: {exc}") from None
@@ -189,7 +174,7 @@ def fit_quadratic(records: list[PowerPointRecord], band: str = "idler") -> Quadr
     coeffs = np.linalg.solve(gram, design.T @ y)
     residuals = y - design @ coeffs
     dof = len(records) - 2
-    sigma2 = float(residuals @ residuals) / dof if dof > 0 else 0.0
+    sigma2 = float(residuals @ residuals) / dof
     cov = sigma2 * np.linalg.inv(gram)
     return QuadraticFit(
         s1=float(coeffs[0]),

@@ -81,9 +81,6 @@ class CountProbabilities:
         if self.p12 < self.p12_acc or self.p13 < self.p13_acc:
             raise ModelValidityError("same-pulse coincidence below the accidental level")
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class FiguresOfMerit:
@@ -94,9 +91,6 @@ class FiguresOfMerit:
     eta_d: float
     heralding_eff: float
     p_pair: "float | None"
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4) -> CountProbabilities:
@@ -217,6 +211,4 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
 
 def report_to_dict(counts: CountProbabilities, figures: FiguresOfMerit) -> dict:
     """Flat key/value document for JSON emission (stable key names)."""
-    doc = counts.as_dict()
-    doc.update(figures.as_dict())
-    return doc
+    return {**asdict(counts), **asdict(figures)}

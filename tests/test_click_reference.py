@@ -119,10 +119,8 @@ def _relative_errors(case):
 ])
 def test_matches_extended_precision(case):
     _, err = _relative_errors(case)
-    bounds = {"p1": 1e-13, "p2": 1e-13, "p3": 1e-13,
-              "p12": 1e-11, "p13": 1e-11, "p23": 1e-11, "p123": 1e-10}
-    for field, bound in bounds.items():
-        assert err[field] <= bound, (field, err[field])
+    for field in FIELDS:
+        assert err[field] <= 1e-13, (field, err[field])
 
 
 def test_extreme_filter_mismatch():

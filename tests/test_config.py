@@ -56,6 +56,36 @@ def _container_paths(node, prefix=()) -> list[tuple]:
     return [prefix] + [path for key, child in items for path in _container_paths(child, prefix + (key,))]
 
 
+def _readme_schema() -> dict:
+    """The JSON example under "Configuration schema" in README.md."""
+    with open("README.md", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Configuration schema"):]
+    return json.loads(section[section.index("```json") + 7:section.index("\n```\n")])
+
+
+# Each JSON key against the field it fills, written out independently of the
+# key tables in hsps.config; fwhm_nm fills the sigma through its conversion.
+_NAMED_FIELDS = [
+    (("pump",), lambda c: c.pump,
+     {"center_nm": "center_wavelength", "fwhm_nm": "bandwidth_sigma", "peak_power_w": "peak_power",
+      "rep_rate_hz": "repetition_rate"}),
+    (("fiber",), lambda c: c.fiber,
+     {"length_m": "length", "gamma_per_w_km": "nonlinear_coefficient",
+      "transmission": "transmission"}),
+    (("gain",), lambda c: c.gain, {"g_squared": "g_squared"}),
+    (("filters", "signal"), lambda c: c.signal_filter,
+     {"center_nm": "center_wavelength", "fwhm_nm": "sigma", "transmission": "transmission"}),
+    (("filters", "idler"), lambda c: c.idler_filter,
+     {"center_nm": "center_wavelength", "fwhm_nm": "sigma", "transmission": "transmission"}),
+    (("detectors", 2), lambda c: c.detectors[2],
+     {"efficiency": "efficiency", "dark_count_prob": "dark_count_prob",
+      "gate_divisor": "gate_divisor", "dead_time_gates": "dead_time_gates",
+      "gate_width_ns": "gate_width_ns"}),
+    (("channels",), lambda c: c.channels, {"signal_extra": "signal", "idler_extra": "idler"}),
+]
+
+
 _SCHEMA_WORDS = st.sampled_from(["efficiency", "center_nm", "fwhm_nm", "signal", "g_squared"])
 
 
@@ -187,6 +217,27 @@ class TestJsonBoundary:
         assert abs(config.center_mismatch_sigmas) < 1e-3
         assert config.gate_divisor == 1
 
+    @pytest.mark.parametrize("doc", [_demo_doc(), _readme_schema()], ids=["demo.json", "README"])
+    def test_writer_emits_exactly_the_documented_keys(self, doc):
+        # both documents carry every key of the schema
+        written = config_to_dict(config_from_dict(doc))
+        assert set(_numeric_paths(written)) == set(_numeric_paths(doc))
+        assert set(_container_paths(written)) == set(_container_paths(doc))
+
+    def test_each_key_fills_its_named_field(self):
+        doc = _demo_doc()
+        doc["channels"]["idler_extra"] = 0.8  # every value of an object distinct
+        config = config_from_dict(doc)
+        for path, spec_of, named in _NAMED_FIELDS:
+            node = doc
+            for step in path:
+                node = node[step]
+            for key, name in named.items():
+                want = node[key]
+                if key == "fwhm_nm":
+                    want = fwhm_nm_to_sigma(want, node["center_nm"])
+                assert getattr(spec_of(config), name) == want, (path, key)
+
     def test_missing_key_is_actionable(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"pump": {"center_nm": 1550.0}}')
@@ -225,6 +276,16 @@ class TestJsonBoundary:
             node = node[step]
         node[key] = 0.5
         with pytest.raises(ConfigError, match=re.escape(f"unknown key '{key}' in {where};")):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["gate_divisor", "dead_time_gates"])
+    def test_count_fields_must_be_integral(self, key):
+        doc = _demo_doc()
+        doc["detectors"][0][key] = 16.0
+        value = getattr(config_from_dict(doc).detectors[0], key)
+        assert value == 16 and type(value) is int
+        doc["detectors"][0][key] = 2.5
+        with pytest.raises(ConfigError, match=re.escape(f"detectors[0].{key} must be an integer")):
             config_from_dict(doc)
 
     def test_unreadable_file(self, tmp_path):

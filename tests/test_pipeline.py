@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -52,6 +53,26 @@ class TestRecordsCsv:
         write_power_records(path, records)
         loaded = read_power_records(path)
         assert loaded == [PowerPointRecord(r.p_ave, r.tallies) for r in records]
+
+    def test_columns_carry_their_named_tallies(self, tmp_path):
+        # ten distinct values, so a column written under another tally's
+        # label shows; the round trip above cannot see it, since the writer
+        # and the reader would swap together
+        tallies = TallyCounters(
+            gates=1000, singles_1=900, singles_2=800, singles_3=700, coinc_12=60,
+            coinc_13=50, coinc_23=40, acc_12=30, acc_13=20, triples_123=10,
+        )
+        path = tmp_path / "records.csv"
+        write_power_records(path, [PowerPointRecord(0.5, tallies)])
+        with open(path, encoding="utf-8", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        labels = {
+            "gates": "gates", "s1_counts": "singles_1", "s2_counts": "singles_2",
+            "s3_counts": "singles_3", "c12": "coinc_12", "c13": "coinc_13",
+            "c23": "coinc_23", "acc12": "acc_12", "acc13": "acc_13", "t123": "triples_123",
+        }
+        expected = {col: str(getattr(tallies, name)) for col, name in labels.items()}
+        assert row == {"p_ave_mw": "0.5", **expected}
 
     def test_empty_file_warns(self, tmp_path):
         path = tmp_path / "empty.csv"
