@@ -6,7 +6,7 @@ strategy curves.  Output is plot-ready CSV; no rendering here."""
 import argparse
 import pathlib
 
-from hsps import modes, pipeline
+from hsps import pipeline
 
 
 def main():
@@ -22,10 +22,10 @@ def main():
         pipeline.write_contour_csv(grid, path)
         print(f"wrote {path}  (CAR at (1,1): {grid.value_at('car', 1.0, 1.0):.3f})")
 
-    report = modes.indistinguishability_report(p_pair=0.005)
+    grid = pipeline.sweep_contour(0.005)
     path = args.out_dir / "strategy_sweep_ppair_0.005.csv"
-    modes.write_strategy_csv(report, path)
-    print(f"wrote {path}  (better H strategy: {report.better_h_strategy})")
+    pipeline.write_strategy_csv(grid, path)
+    print(f"wrote {path}  (better H strategy: {pipeline.better_strategies(grid)[1]})")
 
 
 if __name__ == "__main__":

@@ -108,8 +108,8 @@ def cmd_sweep(args):
     lo, hi, step = _parse_grid(args.grid)
     grid = pipeline_mod.sweep_contour(args.p_pair, (lo, hi), step)
     pipeline_mod.write_contour_csv(grid, args.out)
-    log.info("contour grid %dx%d written to %s", grid.sigma_s_values.size,
-             grid.sigma_i_values.size, args.out)
+    n = grid.sigma_values.size
+    log.info("contour grid %dx%d written to %s", n, n, args.out)
 
 
 def cmd_oracle(args):
@@ -125,12 +125,13 @@ def cmd_modes(args):
     report = modes_mod.mode_report(config)
     doc = report.as_dict()
     if args.sweep_out:
-        ind = modes_mod.indistinguishability_report(args.p_pair)
-        modes_mod.write_strategy_csv(ind, args.sweep_out)
+        grid = pipeline_mod.sweep_contour(args.p_pair)
+        pipeline_mod.write_strategy_csv(grid, args.sweep_out)
+        better_g2, better_h = pipeline_mod.better_strategies(grid)
         doc["strategy_sweep"] = {
             "path": args.sweep_out,
-            "better_g2_strategy": ind.better_g2_strategy,
-            "better_h_strategy": ind.better_h_strategy,
+            "better_g2_strategy": better_g2,
+            "better_h_strategy": better_h,
         }
     _write_json(doc, args.out)
 

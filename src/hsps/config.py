@@ -127,7 +127,7 @@ class GainParameter:
                 f"|G|^2 = {self.g_squared} exceeds the low-gain guard "
                 f"{self.LOW_GAIN_GUARD}; closed forms lose accuracy",
                 ConfigWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -241,7 +241,7 @@ class SourceConfig:
             warnings.warn(
                 f"filter centers miss energy conservation by {mismatch:.3g} pump sigmas",
                 ConfigWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property

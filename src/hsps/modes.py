@@ -16,14 +16,12 @@ K_eff stays at or below 1.05 (SINGLE_MODE_K_MAX), i.e. g2 above 1.95.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .config import SourceConfig
 from .oracle import FrequencyGrid, _both_grids_or_none, make_default_grids
-from .pipeline import sweep_contour
 from .spectral import filter_amplitude, pump_envelope
 
 SINGLE_MODE_K_MAX = 1.05
@@ -133,61 +131,3 @@ def mode_report(config: SourceConfig) -> ModeReport:
         threshold=SINGLE_MODE_K_MAX,
     )
 
-
-# ---------------------------------------------------------------------------
-# narrowband-filter strategies for indistinguishable heralded photons
-# ---------------------------------------------------------------------------
-
-NARROW_IDLER = "narrow_idler"      # single-mode herald, free signal bandwidth
-NARROW_SIGNAL = "narrow_signal"    # single-mode heralded photon, free idler
-
-
-@dataclass(frozen=True)
-class StrategyCurve:
-    strategy: str
-    sigma_free: np.ndarray
-    g_c2: np.ndarray
-    h: np.ndarray
-
-
-@dataclass(frozen=True)
-class IndistinguishabilityReport:
-    curves: tuple[StrategyCurve, StrategyCurve]
-    better_g2_strategy: str
-    better_h_strategy: str
-
-
-def indistinguishability_report(p_pair: float) -> IndistinguishabilityReport:
-    """Compare the two single-mode filter strategies at fixed pair rate.
-
-    Strategy "narrow_idler" pins the herald band at 0.3 pump widths and
-    sweeps the signal bandwidth from 0.1 to 3.0 in steps of 0.05;
-    "narrow_signal" is the mirror image.  Both curves are read off the
-    :func:`~hsps.pipeline.sweep_contour` surfaces, at the 0.3 column and
-    row.  Both give the same CAR at mirrored bandwidths (the CAR is
-    symmetric in the two bands) but different heralding efficiency, which
-    favors narrowing the heralding band.
-    """
-    grid = sweep_contour(p_pair)
-    sig = grid.sigma_s_values          # the same axis as sigma_i_values
-    k = int(np.argmin(np.abs(sig - 0.3)))
-    g2, h = grid.surfaces["g_c2"], grid.surfaces["h"]
-    idler_curve = StrategyCurve(NARROW_IDLER, sig, g_c2=g2[:, k], h=h[:, k])
-    signal_curve = StrategyCurve(NARROW_SIGNAL, sig, g_c2=g2[k, :], h=h[k, :])
-    better_g2 = NARROW_IDLER if idler_curve.g_c2.min() <= signal_curve.g_c2.min() else NARROW_SIGNAL
-    better_h = NARROW_IDLER if idler_curve.h.max() >= signal_curve.h.max() else NARROW_SIGNAL
-    return IndistinguishabilityReport(
-        curves=(idler_curve, signal_curve),
-        better_g2_strategy=better_g2,
-        better_h_strategy=better_h,
-    )
-
-
-def write_strategy_csv(report: IndistinguishabilityReport, path):
-    """Long-form CSV of both strategy curves: sigma_free, g_c2, h, strategy."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma_free", "g_c2", "h", "strategy"])
-        for curve in report.curves:
-            for sig, g2v, hv in zip(curve.sigma_free, curve.g_c2, curve.h):
-                writer.writerow([f"{sig:.6g}", f"{g2v:.8g}", f"{hv:.8g}", curve.strategy])

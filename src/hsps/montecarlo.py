@@ -252,7 +252,10 @@ def _joint_probs(p: np.ndarray) -> dict:
 
 def _herald_norm(config: SourceConfig) -> float:
     """Detection efficiency of signal arm 2, coupler split included: H = eta_D / it."""
-    return 0.5 * config.signal_channel_transmission * config.detectors[1].efficiency
+    norm = 0.5 * config.signal_channel_transmission * config.detectors[1].efficiency
+    if norm <= 0:
+        raise EstimationError("signal-channel detection efficiency is zero")
+    return norm
 
 
 def model_predictions(model: PulseModel, config: SourceConfig) -> dict:
@@ -580,10 +583,6 @@ def estimate(tallies: TallyCounters, config: SourceConfig) -> Estimates:
         )
     if tallies.singles_1 == 0 or tallies.coinc_12 == 0 or tallies.coinc_13 == 0:
         raise EstimationError("zero counts in an estimator denominator; increase n_pulses")
-    herald_norm = _herald_norm(config)
-    if herald_norm <= 0:
-        raise EstimationError("signal-channel detection efficiency is zero")
-
     t = tallies
     counts = (t.singles_1, t.coinc_12, t.coinc_13, t.acc_12, t.triples_123)
-    return _figures(counts, counts, herald_norm)
+    return _figures(counts, counts, _herald_norm(config))

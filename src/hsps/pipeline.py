@@ -1,4 +1,5 @@
-"""Experimental data-reduction chain and parameter sweeps.
+"""Experimental data-reduction chain, parameter sweeps and the filter
+strategies read off them.
 
 Count records taken as a function of average pump power are fitted with the
 two-origin model
@@ -221,6 +222,9 @@ def raman_correct(
     :func:`estimate` (``montecarlo._figures``), and raw_h is the H of
     :func:`estimate` on the raw tallies.
     """
+    eta_i, eta_1 = config.idler_channel_transmission, config.detectors[0].efficiency
+    if eta_i * eta_1 <= 0:
+        raise PipelineError("herald-path detection efficiency is zero: no pair rate")
     bands = normalize(config)
     herald_norm = _herald_norm(config)
     xi = collection_efficiency(bands.sigma_s_prime, bands.sigma_i_prime)
@@ -260,9 +264,7 @@ def raman_correct(
         out.append(
             CorrectedEstimates(
                 p_ave=rec.p_ave,
-                p_pair=pair_rate(
-                    n1c, config.idler_channel_transmission, config.detectors[0].efficiency, xi
-                ),
+                p_pair=pair_rate(n1c, eta_i, eta_1, xi),
                 car=figures.car,
                 g_c2=figures.g_c2,
                 h=figures.h,
@@ -331,20 +333,19 @@ def synthesize_power_sweep(
 
 @dataclass(frozen=True)
 class ContourGrid:
-    sigma_s_values: np.ndarray
-    sigma_i_values: np.ndarray
-    surfaces: dict          # name -> matrix with shape (len(sigma_s), len(sigma_i))
+    sigma_values: np.ndarray    # the one normalized-bandwidth axis, signal and idler
+    surfaces: dict              # name -> matrix indexed [sigma_s, sigma_i]
     p_pair: float
 
     def __post_init__(self):
-        shape = (len(self.sigma_s_values), len(self.sigma_i_values))
+        shape = (len(self.sigma_values),) * 2
         for name, surf in self.surfaces.items():
             if surf.shape != shape:
                 raise PipelineError(f"surface {name} has shape {surf.shape}, expected {shape}")
 
     def value_at(self, name: str, sigma_s: float, sigma_i: float) -> float:
-        ks = int(np.argmin(np.abs(self.sigma_s_values - sigma_s)))
-        ki = int(np.argmin(np.abs(self.sigma_i_values - sigma_i)))
+        ks = int(np.argmin(np.abs(self.sigma_values - sigma_s)))
+        ki = int(np.argmin(np.abs(self.sigma_values - sigma_i)))
         return float(self.surfaces[name][ks, ki])
 
 
@@ -370,8 +371,7 @@ def sweep_contour(
     g2_surf = heralded_g2_approx(unconditional_g2(sig)[:, None], car_surf)
     h_surf = collection_efficiency(sig[:, None], sig[None, :])
     return ContourGrid(
-        sigma_s_values=sig,
-        sigma_i_values=sig,
+        sigma_values=sig,
         surfaces={"car": car_surf, "g_c2": g2_surf, "h": h_surf},
         p_pair=p_pair,
     )
@@ -382,8 +382,8 @@ def write_contour_csv(grid: ContourGrid, path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sigma_s_prime", "sigma_i_prime", "car", "g_c2", "h"])
-        for a, ss in enumerate(grid.sigma_s_values):
-            for b, si in enumerate(grid.sigma_i_values):
+        for a, ss in enumerate(grid.sigma_values):
+            for b, si in enumerate(grid.sigma_values):
                 writer.writerow(
                     [
                         f"{ss:.6g}", f"{si:.6g}",
@@ -392,6 +392,52 @@ def write_contour_csv(grid: ContourGrid, path):
                         f"{grid.surfaces['h'][a, b]:.8g}",
                     ]
                 )
+
+
+# ---------------------------------------------------------------------------
+# narrowband-filter strategies for indistinguishable heralded photons
+# ---------------------------------------------------------------------------
+
+NARROW_IDLER = "narrow_idler"      # single-mode herald, free signal bandwidth
+NARROW_SIGNAL = "narrow_signal"    # single-mode heralded photon, free idler
+NARROW_SIGMA = 0.3                 # normalized bandwidth of the pinned band
+
+
+def strategy_curves(grid: ContourGrid) -> dict:
+    """The two single-mode filter strategies, read off the contour surfaces.
+
+    Returns strategy -> {surface name -> curve over grid.sigma_values, the
+    free band's bandwidth}.  "narrow_idler" pins the herald band at the
+    grid point nearest NARROW_SIGMA = 0.3 pump widths (the column of every
+    surface) and "narrow_signal" pins the signal band (the row).  Both give
+    the same CAR at mirrored bandwidths (the CAR is symmetric in the two
+    bands) but different heralding efficiency, which favors narrowing the
+    heralding band.
+    """
+    k = int(np.argmin(np.abs(grid.sigma_values - NARROW_SIGMA)))
+    return {
+        NARROW_IDLER: {name: surf[:, k] for name, surf in grid.surfaces.items()},
+        NARROW_SIGNAL: {name: surf[k, :] for name, surf in grid.surfaces.items()},
+    }
+
+
+def better_strategies(grid: ContourGrid) -> tuple[str, str]:
+    """(the strategy reaching the lower g_c2, the one reaching the higher
+    H) over the grid; a tie goes to narrow_idler."""
+    idler, signal = strategy_curves(grid).values()
+    better_g2 = NARROW_IDLER if idler["g_c2"].min() <= signal["g_c2"].min() else NARROW_SIGNAL
+    better_h = NARROW_IDLER if idler["h"].max() >= signal["h"].max() else NARROW_SIGNAL
+    return better_g2, better_h
+
+
+def write_strategy_csv(grid: ContourGrid, path):
+    """Long-form CSV of both strategy curves: sigma_free, g_c2, h, strategy."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sigma_free", "g_c2", "h", "strategy"])
+        for strategy, curve in strategy_curves(grid).items():
+            for sig, g2v, hv in zip(grid.sigma_values, curve["g_c2"], curve["h"]):
+                writer.writerow([f"{sig:.6g}", f"{g2v:.8g}", f"{hv:.8g}", strategy])
 
 
 def write_corrected_csv(corrected: list[CorrectedEstimates], path):

@@ -1,8 +1,9 @@
 import json
+import shlex
 
 import pytest
 
-from hsps.cli import run
+from hsps.cli import build_parser, run
 from hsps.config import config_to_dict, make_symmetric_config
 from hsps.montecarlo import RNG_SCHEME
 from hsps import pipeline as pl
@@ -142,6 +143,27 @@ class TestUsageErrors:
         assert capsys.readouterr().out
 
 
+def _readme_cli_lines() -> list[str]:
+    """Each command line of the README's ## CLI block, continuations joined."""
+    with open("README.md", encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## CLI"):]
+    block = section[section.index("```") + 3:]
+    block = block[:block.index("```")].replace("\\\n", " ")
+    return [" ".join(line.split()) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    # parse only: a renamed or dropped flag fails here, not in a reader's shell
+    prog, *argv = shlex.split(line)
+    assert prog == "hsps"
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command line no longer parses: {line}")
+
+
 class TestSweep:
     def test_fixture_cell(self, tmp_path):
         out = tmp_path / "fig.csv"
@@ -257,6 +279,20 @@ class TestFitAndCorrect:
         assert lines[0].startswith("p_ave_mw,")
         assert len(lines) == 5
         assert (tmp_path / "corrected.csv.manifest.json").exists()
+
+    @pytest.mark.parametrize("detector", [0, 1], ids=["herald", "arm2"])
+    def test_zero_efficiency_exits_1(self, data_path, tmp_path, capsys, detector):
+        # the herald path divides the pair rate, arm 2 divides H
+        efficiencies = [0.5, 0.8, 0.8]
+        efficiencies[detector] = 0.0
+        config = make_symmetric_config(1.0, 1.0, 0.02, det_efficiencies=tuple(efficiencies))
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(config_to_dict(config)))
+        assert run(["correct", "--data", data_path, "--config", str(path),
+                    "--out", str(tmp_path / "corrected.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "hsps: error:" in err and "efficiency is zero" in err
+        assert "Traceback" not in err
 
     def test_missing_data_file(self, config_path, tmp_path):
         assert run(["fit", "--data", str(tmp_path / "none.csv")]) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import pytest
@@ -180,6 +181,23 @@ class TestSpecValidation:
         doc["filters"]["idler"]["center_nm"] = 2 * math.pi * C_NM_PER_S / omega_i
         with pytest.warns(ConfigWarning, match="energy conservation"):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: load_config("configs/demo.json"), lambda: make_symmetric_config(1, 1, 0.2)],
+        ids=["load_config", "make_symmetric_config"],
+    )
+    def test_warning_names_a_source_line(self, build):
+        # not the dataclass-generated __init__, whose file reads <string>
+        with pytest.warns(ConfigWarning) as caught:
+            build()
+        for w in caught:
+            assert w.filename != "<string>" and os.path.isfile(w.filename)
+
+    def test_direct_construction_warns_at_the_caller(self):
+        with pytest.warns(ConfigWarning) as caught:
+            GainParameter(0.2)
+        assert [w.filename for w in caught] == [__file__]
 
     def test_mixed_gate_divisors_rejected(self):
         config = make_symmetric_config(1.0, 1.0, 0.01)

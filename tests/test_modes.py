@@ -1,25 +1,20 @@
 import json
-import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from hsps import modes
-from hsps.modes import (
-    NARROW_IDLER,
-    NARROW_SIGNAL,
-    filtered_jsa,
-    indistinguishability_report,
-    marginal_mode_number,
-    mode_report,
-    schmidt,
-    write_strategy_csv,
-)
+from hsps.modes import filtered_jsa, marginal_mode_number, mode_report, schmidt
 from hsps.cli import run
 from hsps.config import config_to_dict, load_config
 from hsps.oracle import make_default_grids
 from hsps.spectral import filter_amplitude
 from hsps.stats import unconditional_g2
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestFilteredJsa:
@@ -137,39 +132,15 @@ class TestModeReport:
         assert sum(doc["schmidt_coefficients"]) == pytest.approx(1.0, abs=1e-6)
 
 
-class TestIndistinguishabilityStrategies:
-    def test_fixture_curves(self):
-        report = indistinguishability_report(p_pair=0.005)
-        idler_curve, signal_curve = report.curves
-        assert idler_curve.strategy == NARROW_IDLER
-        assert signal_curve.strategy == NARROW_SIGNAL
-        # pinning the herald band and opening the signal band both cuts the
-        # conditional g2 and raises H, so that strategy wins on both counts
-        assert report.better_g2_strategy == NARROW_IDLER
-        assert report.better_h_strategy == NARROW_IDLER
 
-    def test_equal_bandwidths_same_car_different_h(self):
-        report = indistinguishability_report(p_pair=0.005)
-        idler_curve, signal_curve = report.curves
-        at = np.argmin(np.abs(idler_curve.sigma_free - 2.0))
-        # the coincidence ratio is symmetric under band swap, so the g2
-        # difference comes only from the band autocorrelation factor
-        from hsps.stats import car
-
-        assert car(0.005, 2.0, 0.3) == car(0.005, 0.3, 2.0)
-        h_idler = idler_curve.h[at]
-        h_signal = signal_curve.h[at]
-        assert h_idler == pytest.approx(2.0 / math.sqrt(6.09), rel=1e-9)
-        assert h_signal == pytest.approx(0.3 / math.sqrt(6.09), rel=1e-9)
-        assert h_idler > h_signal
-
-    def test_csv_emission(self, tmp_path):
-        report = indistinguishability_report(p_pair=0.005)
-        path = tmp_path / "fig.csv"
-        write_strategy_csv(report, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sigma_free,g_c2,h,strategy"
-        # 59 free bandwidths 0.1, 0.15, ..., 3.0 per strategy
-        assert len(lines) == 1 + 2 * 59
-        assert lines[1].startswith("0.1,") and lines[1].endswith(NARROW_IDLER)
-        assert lines[59].startswith("3,") and lines[60].endswith(NARROW_SIGNAL)
+def test_import_leaves_out_pipeline_and_montecarlo():
+    # the mode analysis stands on config, oracle and spectral alone
+    code = "import sys, hsps.modes; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+    ).stdout.split()
+    assert "hsps.modes" in loaded
+    assert "hsps.pipeline" not in loaded
+    assert "hsps.montecarlo" not in loaded

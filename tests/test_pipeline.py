@@ -10,16 +10,22 @@ from hsps.config import ConfigWarning, config_to_dict
 from hsps import pipeline as pl
 from hsps.montecarlo import TallyCounters, estimate
 from hsps.pipeline import (
+    NARROW_IDLER,
+    NARROW_SIGNAL,
+    ContourGrid,
     CorrectionRegimeError,
     PipelineError,
     PowerPointRecord,
+    better_strategies,
     fit_quadratic,
     power_slope,
     raman_correct,
     read_power_records,
+    strategy_curves,
     sweep_contour,
     synthesize_power_sweep,
     write_power_records,
+    write_strategy_csv,
 )
 from hsps.stats import car as car_closed_form
 
@@ -312,6 +318,68 @@ class TestContourSweep:
             sweep_contour(0.01, (0.0, 1.0))
         with pytest.raises(PipelineError):
             sweep_contour(0.01, (2.0, 1.0), 0.1)
+
+    def test_rejects_surface_off_the_axis(self):
+        sig = np.array([0.5, 1.0, 1.5])
+        with pytest.raises(PipelineError, match=r"surface h has shape \(3, 2\)"):
+            ContourGrid(sigma_values=sig, surfaces={"h": np.ones((3, 2))}, p_pair=0.01)
+
+
+class TestIndistinguishabilityStrategies:
+    def test_fixture_curves(self):
+        grid = sweep_contour(0.005)
+        assert list(strategy_curves(grid)) == [NARROW_IDLER, NARROW_SIGNAL]
+        # pinning the herald band and opening the signal band both cuts the
+        # conditional g2 and raises H, so that strategy wins on both counts
+        assert better_strategies(grid) == (NARROW_IDLER, NARROW_IDLER)
+
+    def test_tie_goes_to_narrow_idler(self):
+        # symmetric surfaces give mirror-equal curves
+        sig = np.array([0.3, 1.0])
+        flat = np.ones((2, 2))
+        grid = ContourGrid(sigma_values=sig, surfaces={"g_c2": flat, "h": flat}, p_pair=0.01)
+        assert better_strategies(grid) == (NARROW_IDLER, NARROW_IDLER)
+
+    def test_equal_bandwidths_same_car_different_h(self):
+        grid = sweep_contour(0.005)
+        idler_curve, signal_curve = strategy_curves(grid).values()
+        at = np.argmin(np.abs(grid.sigma_values - 2.0))
+        # the coincidence ratio is symmetric under band swap, so the g2
+        # difference comes only from the band autocorrelation factor
+        assert car_closed_form(0.005, 2.0, 0.3) == car_closed_form(0.005, 0.3, 2.0)
+        h_idler = idler_curve["h"][at]
+        h_signal = signal_curve["h"][at]
+        assert h_idler == pytest.approx(2.0 / math.sqrt(6.09), rel=1e-9)
+        assert h_signal == pytest.approx(0.3 / math.sqrt(6.09), rel=1e-9)
+        assert h_idler > h_signal
+
+    def test_csv_emission(self, tmp_path):
+        path = tmp_path / "fig.csv"
+        write_strategy_csv(sweep_contour(0.005), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "sigma_free,g_c2,h,strategy"
+        # 59 free bandwidths 0.1, 0.15, ..., 3.0 per strategy
+        assert len(lines) == 1 + 2 * 59
+        assert lines[1].startswith("0.1,") and lines[1].endswith(NARROW_IDLER)
+        assert lines[59].startswith("3,") and lines[60].endswith(NARROW_SIGNAL)
+
+    def test_curves_are_slices_of_the_contour_csv(self, tmp_path):
+        # narrow_idler is the sigma_i' = 0.3 column of hsps sweep's CSV and
+        # narrow_signal its sigma_s' = 0.3 row, cell for cell
+        contour, strategy = tmp_path / "contour.csv", tmp_path / "strategy.csv"
+        assert run(["sweep", "--p-pair", "0.02", "--out", str(contour)]) == 0
+        assert run(["modes", "--config", "configs/symmetric.json", "--p-pair", "0.02",
+                    "--sweep-out", str(strategy), "--out", str(tmp_path / "modes.json")]) == 0
+        with open(contour, newline="") as fh:
+            cells = list(csv.DictReader(fh))
+        idler_column = [(r["sigma_s_prime"], r["g_c2"], r["h"], NARROW_IDLER)
+                        for r in cells if r["sigma_i_prime"] == "0.3"]
+        signal_row = [(r["sigma_i_prime"], r["g_c2"], r["h"], NARROW_SIGNAL)
+                      for r in cells if r["sigma_s_prime"] == "0.3"]
+        with open(strategy, newline="") as fh:
+            rows = [tuple(row) for row in csv.reader(fh)][1:]
+        assert len(idler_column) == 59
+        assert rows == idler_column + signal_row
 
 
 class TestPowerSlope:
