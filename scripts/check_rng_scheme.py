@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Check the Monte Carlo's random-number scheme against exact tally means.
 
-Simulates one pulse model over seeds 0 .. N-1 with dead time switched off
+Simulates one pulse model over the seeds F .. F+N-1 (F is --first-seed,
+default 0; the header line names the block) with dead time switched off
 and prints, for every tally, the z of its mean over the seeds against the
 exact expectation from the effective pattern distribution: gates * p for
 the same-slot tallies (singles, coincidences, triples) and
@@ -18,7 +19,7 @@ standard error is the sample standard deviation of the per-seed values
 divided by sqrt(N).  Exits 1 if any |z| exceeds 4.
 
     PYTHONPATH=src python scripts/check_rng_scheme.py --config configs/demo.json \\
-        --pulses 400000000 --seeds 200
+        --pulses 400000000 --seeds 200 --first-seed 1000
 """
 
 import argparse
@@ -82,6 +83,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="source config JSON")
     parser.add_argument("--pulses", type=int, required=True, help="pump pulses per seed")
     parser.add_argument("--seeds", type=int, default=200, help="number of seeds (>= 2)")
+    parser.add_argument("--first-seed", type=int, default=0, dest="first_seed",
+                        help="first seed of the block (>= 0)")
     parser.add_argument("--raman", default=None,
                         help="Raman/pair coefficients as s1,s2 (as hsps mc --raman)")
     parser.add_argument("--p-ave", type=float, default=1.0, dest="p_ave",
@@ -89,6 +92,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 2:
         parser.error("--seeds must be at least 2")
+    if args.first_seed < 0:
+        parser.error("--first-seed must be non-negative")
 
     config = load_config(args.config)
     raman = None
@@ -101,7 +106,8 @@ def main(argv=None) -> int:
 
     samples = {name: [] for name in (*SAME_SLOT, *ACCIDENTAL)}
     gates = 0
-    for seed in range(args.seeds):
+    seeds = range(args.first_seed, args.first_seed + args.seeds)
+    for seed in seeds:
         tallies = dataclasses.asdict(mc.simulate(model, args.pulses, seed=seed))
         gates = tallies["gates"]
         for name in samples:
@@ -110,7 +116,8 @@ def main(argv=None) -> int:
     joint = mc.model_predictions(model, config)["joint"]
     rows = z_table(moment_checks(samples, joint, gates))
     print(f"rng_scheme {mc.RNG_SCHEME}; {args.seeds} seeds x {gates} gates, "
-          f"P(any click) {1.0 - mc.effective_pattern_probs(model)[0]:.4g}")
+          f"P(any click) {1.0 - mc.effective_pattern_probs(model)[0]:.4g}, "
+          f"seeds {seeds[0]}..{seeds[-1]}")
     print(f"{'statistic':<21} {'expected':>14} {'mean':>14} {'std_err':>10} {'z':>7}")
     for name, exp, mean, sem, z in rows:
         print(f"{name:<21} {exp:14.3f} {mean:14.3f} {sem:10.3f} {z:+7.2f}")

@@ -3,10 +3,11 @@
 Subcommands: report, sweep, oracle, modes, mc, fit, correct.  A run writes
 its result to --out (modes also to --sweep-out) and, once it succeeds, one
 manifest beside each such file (<output>.manifest.json): the subcommand,
-config path, tool version, every option given, the seed (null except for
-mc, the only command that draws random numbers) and what the subcommand
-adds (for correct, the fitted s1 and s2 and the tallies the Raman
-correction adjusted).  Runs are reproducible from their artifacts alone.
+config path, tool and numpy versions, every option given, the seed (null
+except for mc, the only command that draws random numbers) and what the
+subcommand adds (for mc, the random-number scheme; for correct, the fitted
+s1 and s2 and the tallies the Raman correction adjusted).  Runs are
+reproducible from their artifacts alone.
 
 Exit codes: 0 success (--help and --version too), 1 validation, input or
 usage error (a missing required option, an unknown flag), 2 model-validity
@@ -24,6 +25,8 @@ import math
 import os
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__
 from .config import ConfigError, ModelValidityError, load_config
@@ -64,6 +67,7 @@ def _write_manifests(args, provenance: dict):
             "seed": getattr(args, "seed", None),
             "output_dir": os.path.dirname(os.path.abspath(path)),
             "tool_version": __version__,
+            "numpy_version": np.__version__,
             "parameters": {
                 k: v
                 for k, v in vars(args).items()
@@ -136,7 +140,8 @@ def cmd_modes(args):
     _write_json(doc, args.out)
 
 
-def cmd_mc(args):
+def cmd_mc(args) -> dict:
+    """Returns the manifest's record of the random-number scheme."""
     config = load_config(args.config)
     raman = None
     if args.raman:
@@ -159,6 +164,7 @@ def cmd_mc(args):
         },
     }
     _write_json(doc, args.out)
+    return {"rng_scheme": mc.RNG_SCHEME}
 
 
 def cmd_fit(args):

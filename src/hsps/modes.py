@@ -1,9 +1,13 @@
 """Spectral mode structure of the filtered pair state.
 
 The filtered joint spectral amplitude F = f_s f_i phi carries the full
-two-photon correlation; its singular values give the Schmidt spectrum and
-the effective mode number K = 1 / sum(lambda_k^2).  K = 1 means the state
-is spectrally factorable and heralded photons are pure.
+two-photon correlation; the eigenvalues of its reduced density matrix (the
+Gram matrix F F^T of the smaller side, so the squared singular values of F)
+give the Schmidt spectrum and the effective mode number
+K = 1 / sum(lambda_k^2).  K = 1 means the state is spectrally factorable
+and heralded photons are pure.  The Gram route is taken with eigvalsh
+instead of an SVD; it has an absolute floor of ~1e-16, below which tail
+coefficients are rounding noise (clipped at 0).
 
 For indistinguishability what matters is the marginal mode content of each
 band on its own, with the conjugate band unobserved and unfiltered.  That
@@ -71,16 +75,22 @@ def filtered_jsa(
 def schmidt(matrix: np.ndarray) -> SchmidtResult:
     """Schmidt spectrum of a (normalized) joint amplitude.
 
-    The coefficients are the squared singular values renormalized to unit
-    sum; a rank-1 matrix gives schmidt_number exactly 1.
+    The coefficients are the eigenvalues of the reduced density matrix, the
+    Gram matrix of the smaller side (the squared singular values), clipped
+    at 0 and renormalized to unit sum; a rank-1 matrix gives schmidt_number
+    1 to rounding.
     """
     matrix = np.asarray(matrix, dtype=float)
+    rows, cols = matrix.shape
+    gram = matrix @ matrix.T if rows <= cols else matrix.T @ matrix
     try:
-        singular = np.linalg.svd(matrix, compute_uv=False)
+        lam = np.linalg.eigvalsh(gram)[::-1]
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"Schmidt decomposition failed: {exc}") from exc
-    lam = singular**2
+    # normalize by the unclipped sum (the trace): clipping the negative
+    # rounding noise first would bias the leading coefficients low
     total = lam.sum()
+    lam = np.maximum(lam, 0.0)
     if total == 0.0:
         raise ValueError("cannot decompose an all-zero amplitude")
     lam = lam / total

@@ -8,7 +8,9 @@ Two independent machines live here:
   contraction of those matrices, with all integrals done numerically;
 
 * a Gaussian-state click engine (:func:`gaussian_click_probs`) that takes
-  the SVD of the discretized pair kernel, keeps the Schmidt pairs that carry
+  the Schmidt decomposition of the discretized pair kernel (one symmetric
+  eigendecomposition on the click grids, where the kernel is a symmetric
+  Hankel matrix; an SVD otherwise), keeps the Schmidt pairs that carry
   light, and treats the dual-band filter, detector efficiencies and the
   50/50 coupler (vacuum in its second port, folded into the signal-band
   loss of each arm) as losses projected onto those pairs.  Every no-click
@@ -319,10 +321,14 @@ def click_probs_from_pair_kernel(
 
     Everything runs on the r Schmidt pairs R = U diag(lam) V^T that carry
     light: sinh^2 lam above SCHMIDT_CUTOFF of the peak, 25 to 64 pairs on
-    the shipped grids.  The herald pairs and the triple are first order in
-    the cross amplitudes of the dropped pairs; at this cutoff all seven
-    probabilities agree with the extended-precision reference of
-    tests/test_click_reference.py to ~1e-14.
+    the shipped grids.  R depends on w_s + w_i only, so on grids of equal
+    spacing and size (make_click_grids) it is a symmetric Hankel matrix; when
+    R is square and exactly equal to R^T the pairs come from one eigh,
+    R = Q diag(w) Q^T with lam = |w|, U = Q and V = Q sign(w).  Any other R
+    takes the SVD; the two routes agree to ~1e-14 relative.  The herald
+    pairs and the triple are first order in the cross amplitudes of the
+    dropped pairs; at this cutoff all seven probabilities agree with the
+    extended-precision reference of tests/test_click_reference.py to ~1e-14.
     With N = diag(sinh^2 lam), C = diag(sinh lam cosh lam) and a band
     loss projected onto the pairs, M = U^T diag(t) U (signal) or
     V^T diag(t) V (idler), one band set stays dark with probability
@@ -336,10 +342,18 @@ def click_probs_from_pair_kernel(
     t1 = np.atleast_1d(np.asarray(t1, dtype=float))
     t2_band = np.atleast_1d(np.asarray(t2_band, dtype=float))
     t3_band = np.atleast_1d(np.asarray(t3_band, dtype=float))
-    U, lam, Vt = np.linalg.svd(R, full_matrices=False)
+    if R.shape[0] == R.shape[1] and np.array_equal(R, R.T):
+        # the eigh route of the docstring, in descending lam
+        w, Q = np.linalg.eigh(R)
+        order = np.argsort(-np.abs(w), kind="stable")
+        w, U = w[order], Q[:, order]
+        lam, V = np.abs(w), U * np.sign(w)
+    else:
+        U, lam, Vt = np.linalg.svd(R, full_matrices=False)
+        V = Vt.T
     n = np.sinh(lam) ** 2
     keep = n > SCHMIDT_CUTOFF * n[0]
-    U, V, lam, n = U[:, keep], Vt[keep].T, lam[keep], n[keep]
+    U, V, lam, n = U[:, keep], V[:, keep], lam[keep], n[keep]
     c = np.sinh(lam) * np.cosh(lam)
 
     # each pair is a two-mode squeezer with x covariance [[n + 1/2, c], [c, n + 1/2]]

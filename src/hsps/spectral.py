@@ -43,7 +43,7 @@ def pair_kernel_leading(omega_s, omega_i, gain: GainParameter, pump: PumpSpec):
     """Leading-order pair-creation amplitude (G / sigma_p) * phi.
 
     This is the normalization under which the closed-form counting statistics
-    hold.  The Gaussian click engine builds its state from the SVD of this
-    kernel on frequency grids.
+    hold.  The Gaussian click engine builds its state from the Schmidt
+    decomposition of this kernel on frequency grids.
     """
     return (gain.amplitude / pump.bandwidth_sigma) * pump_envelope(omega_s, omega_i, pump)

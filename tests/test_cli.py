@@ -1,6 +1,7 @@
 import json
 import shlex
 
+import numpy as np
 import pytest
 
 from hsps.cli import build_parser, run
@@ -119,6 +120,9 @@ class TestOneSidecar:
             assert manifest["subcommand"] == argv[0]
             assert "subcommand" not in manifest["parameters"]
             assert text.count('"tool_version"') == 1
+            assert manifest["numpy_version"] == np.__version__
+            # only mc draws random numbers, so only its manifest names a scheme
+            assert manifest.get("rng_scheme") == (RNG_SCHEME if argv[0] == "mc" else None)
 
 
 class TestUsageErrors:

@@ -10,7 +10,7 @@ import pytest
 from hsps.modes import filtered_jsa, marginal_mode_number, mode_report, schmidt
 from hsps.cli import run
 from hsps.config import config_to_dict, load_config
-from hsps.oracle import make_default_grids
+from hsps.oracle import FrequencyGrid, make_default_grids
 from hsps.spectral import filter_amplitude
 from hsps.stats import unconditional_g2
 
@@ -63,6 +63,25 @@ class TestSchmidt:
         assert lam.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.diff(lam) <= 1e-15)
         assert result.schmidt_number >= 1.0
+
+    @pytest.mark.parametrize(
+        "sig_s, sig_i, n_s, n_i",
+        [(0.3, 0.3, 256, 256), (1.0, 1.0, 256, 256), (2.0, 0.3, 256, 256),
+         (3.0, 0.6, 256, 256), (1.5, 0.7, 96, 160), (0.7, 1.5, 160, 96)],
+    )
+    def test_matches_squared_singular_values(self, symmetric, sig_s, sig_i, n_s, n_i):
+        # the reduced-density-matrix spectrum against the SVD of the
+        # amplitude, square and rectangular (wide and tall)
+        config = symmetric(sig_s, sig_i, 0.01)
+        grid_s, grid_i = make_default_grids(config)
+        grid_s = FrequencyGrid(grid_s.band_center, grid_s.half_width, n_s)
+        grid_i = FrequencyGrid(grid_i.band_center, grid_i.half_width, n_i)
+        jsa = filtered_jsa(config, grid_s, grid_i)
+        lam = schmidt(jsa).coefficients
+        assert lam.shape == (min(n_s, n_i),)
+        assert np.max(np.abs(lam - np.linalg.svd(jsa, compute_uv=False) ** 2)) <= 1e-15
+        assert np.all(lam >= 0.0)
+        assert np.all(np.diff(lam) <= 0.0)
 
     def test_rejects_zero_matrix(self):
         with pytest.raises(ValueError):

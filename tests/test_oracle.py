@@ -219,6 +219,48 @@ class TestGaussianClickEngine:
         for field in ("p1", "p2", "p3", "p12", "p13", "p23", "p123"):
             assert rel_err(getattr(wide, field), getattr(base, field)) < 1e-9, field
 
+    @pytest.mark.parametrize("tilted", [False, True])
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("sig_s, sig_i", [(0.3, 0.3), (1.0, 1.0), (2.0, 0.3), (3.0, 3.0)])
+    def test_symmetric_kernel_route_matches_svd_route(self, symmetric, sig_s, sig_i, n, tilted):
+        # on click grids R is a symmetric Hankel matrix and takes the eigh
+        # route; a zero idler column with zero transmission adds a vacuum
+        # mode and makes R non-square, which sends the same physics through
+        # the SVD route.  Half the Schmidt coefficients of R are negative
+        # eigenvalues, and R = |R| J with J the mirror of the grid, so only
+        # a loss that is not mirror-symmetric (tilted) sees their signs
+        config = symmetric(sig_s, sig_i, 0.02, det_efficiencies=EFF)
+        grid_s, grid_i = make_click_grids(config, n)
+        R = oracle._pair_kernel(config, grid_s, grid_i)
+        t1, t2b, t3b = oracle._band_transmissions(config, grid_s, grid_i)
+        if tilted:
+            t1, t2b = t1 * np.linspace(1.0, 0.5, n), t2b * np.linspace(0.5, 1.0, n)
+        assert np.array_equal(R, R.T)
+        by_eigh = click_probs_from_pair_kernel(R, t1, t2b, t3b)
+        by_svd = click_probs_from_pair_kernel(
+            np.hstack([R, np.zeros((n, 1))]), np.append(t1, 0.0), t2b, t3b
+        )
+        for field in ("p1", "p2", "p3", "p12", "p13", "p23", "p123"):
+            assert rel_err(getattr(by_eigh, field), getattr(by_svd, field)) <= 1e-14, field
+
+    def test_svd_only_for_kernels_that_are_not_symmetric(self, symmetric, monkeypatch):
+        config = symmetric(1.0, 1.0, 0.02, det_efficiencies=EFF)
+        expected = gaussian_click_probs(config)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert gaussian_click_probs(config) == expected
+        assert calls == []
+        R = np.array([[0.3, 0.1], [np.nextafter(0.1, 1.0), 0.2]])
+        assert not np.array_equal(R, R.T)
+        click_probs_from_pair_kernel(R, np.ones(2), np.ones(2), np.ones(2))
+        assert calls == [(2, 2)]
+
     def test_low_gain_agrees_with_quadrature(self, symmetric):
         for sig_s, sig_i in [(1.0, 1.0), (2.0, 0.3)]:
             config = symmetric(sig_s, sig_i, 1e-3, det_efficiencies=EFF)

@@ -1,10 +1,15 @@
 """Smoke tests: the experiment scripts run end to end and write their CSVs."""
 
+import dataclasses
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
+
+from hsps import montecarlo as mc
+from hsps.config import load_config
 from hsps.montecarlo import RNG_SCHEME
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -64,3 +69,18 @@ def test_check_rng_scheme():
                           "var(acc_12)", "cov(acc_12,coinc_12)",
                           "var(acc_13)", "cov(acc_13,coinc_13)"]
     assert lines[-1].startswith("max |z| ")
+
+
+def test_check_rng_scheme_first_seed():
+    # the table is drawn on seeds 5..7: its singles_1 mean is theirs
+    config = ROOT / "configs" / "symmetric.json"
+    result = _run_script("check_rng_scheme.py", "--config", str(config),
+                         "--pulses", "200000", "--seeds", "3", "--first-seed", "5")
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith(f"rng_scheme {RNG_SCHEME}; 3 seeds x 200000 gates")
+    assert lines[0].endswith(", seeds 5..7")
+    model = dataclasses.replace(mc.build_pulse_model(load_config(config)),
+                                dead_time_gates=(0, 0, 0))
+    singles = [mc.simulate(model, 200000, seed=seed).singles_1 for seed in (5, 6, 7)]
+    name, _, mean = lines[2].split()[:3]
+    assert (name, mean) == ("singles_1", f"{np.mean(singles):.3f}")
