@@ -5,9 +5,10 @@ its result to --out (modes also to --sweep-out) and, once it succeeds, one
 manifest beside each such file (<output>.manifest.json): the subcommand,
 config path, tool and numpy versions, every option given, the seed (null
 except for mc, the only command that draws random numbers) and what the
-subcommand adds (for mc, the random-number scheme; for correct, the fitted
-s1 and s2 and the tallies the Raman correction adjusted).  Runs are
-reproducible from their artifacts alone.
+subcommand adds (for mc, the random-number scheme; for oracle and modes, the
+points of the quadrature grids, which are sized from the config; for
+correct, the fitted s1 and s2 and the tallies the Raman correction
+adjusted).  Runs are reproducible from their artifacts alone.
 
 Exit codes: 0 success (--help and --version too), 1 validation, input or
 usage error (a missing required option, an unknown flag), 2 model-validity
@@ -24,12 +25,13 @@ import logging
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ModelValidityError, load_config
+from .config import ConfigError, ConfigWarning, ModelValidityError, load_config
 from . import modes as modes_mod
 from . import montecarlo as mc
 from . import oracle as oracle_mod
@@ -116,15 +118,27 @@ def cmd_sweep(args):
     log.info("contour grid %dx%d written to %s", n, n, args.out)
 
 
-def cmd_oracle(args):
+def _quadrature_grid_points(config) -> dict:
+    """The manifest's record of the default grids the run used, [n_s, n_i];
+    their capped-resolution warning was already given by the run itself."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConfigWarning)
+        grids = oracle_mod.make_default_grids(config)
+    return {"quadrature_grid_points": [grid.n_points for grid in grids]}
+
+
+def cmd_oracle(args) -> dict:
+    """Returns the manifest's record of the quadrature grids."""
     config = load_config(args.config)
     rows = oracle_mod.comparison_rows(config, include_gaussian=not args.no_gaussian)
     oracle_mod.write_comparison_csv(rows, args.out)
     worst = max(rows, key=lambda r: r["rel_err"])
     log.info("worst relative error %.3e on %s", worst["rel_err"], worst["quantity"])
+    return _quadrature_grid_points(config)
 
 
-def cmd_modes(args):
+def cmd_modes(args) -> dict:
+    """Returns the manifest's record of the quadrature grids."""
     config = load_config(args.config)
     report = modes_mod.mode_report(config)
     doc = report.as_dict()
@@ -138,6 +152,7 @@ def cmd_modes(args):
             "better_h_strategy": better_h,
         }
     _write_json(doc, args.out)
+    return _quadrature_grid_points(config)
 
 
 def cmd_mc(args) -> dict:

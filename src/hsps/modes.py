@@ -9,6 +9,13 @@ and heralded photons are pure.  The Gram route is taken with eigvalsh
 instead of an SVD; it has an absolute floor of ~1e-16, below which tail
 coefficients are rounding noise (clipped at 0).
 
+Everything here runs on oracle.make_default_grids, whose point counts are
+sized per band from the narrowest Gaussian width it holds, so the joint
+amplitude is n_s x n_i and rectangular when the bands differ.  On those
+grids K, the Schmidt coefficients and K_eff agree with Mehler's closed
+forms (K = sqrt((2+s_s'^2)(2+s_i'^2) / (2 (2+s_s'^2+s_i'^2))),
+lambda_k = (1-mu) mu^k with mu = (K-1)/(K+1)) to ~1e-13.
+
 For indistinguishability what matters is the marginal mode content of each
 band on its own, with the conjugate band unobserved and unfiltered.  That
 is governed by the band's autocorrelation kernel f(w) f(w') exp(-(w-w')^2 /
@@ -103,7 +110,8 @@ def marginal_mode_number(config: SourceConfig, band: str) -> float:
     band is "signal" or "idler".  K_eff = (sum mu)^2 / sum(mu^2) over the
     kernel eigenvalues; it depends only on this band's filter and the pump,
     not on the conjugate filter, and satisfies 1 + 1/K_eff = g2(band)
-    within discretization error, on the band's default grid.
+    to ~1e-13 on the band's grid from make_default_grids, which is sized
+    from the narrower of the pump and this filter.
     """
     if band == "signal":
         filt, grid_index = config.signal_filter, 0

@@ -33,6 +33,7 @@ herald, which counts twice in the moment E[N1 N2 N3] but clicks once.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +45,8 @@ from .stats import CountProbabilities, _assemble_counts, full_report
 
 BOUNDARY_LEAK = 1e-8          # truncation warning threshold, relative to the kernel peak
 COVERAGE_FACTOR_MIN = 5.0
-DEFAULT_POINTS = 256
+POINTS_PER_WIDTH = 3.0        # trapezoid resolution: spacing at most a third of a Gaussian width
+MAX_DEFAULT_POINTS = 1024     # cap on a sized quadrature band
 DEFAULT_CLICK_POINTS = 128
 SCHMIDT_CUTOFF = 1e-20        # drop Schmidt pairs with sinh^2 below this fraction of the peak
 
@@ -63,7 +65,9 @@ class FrequencyGrid:
 
     half_width should cover at least COVERAGE_FACTOR_MIN of the wider of
     the band filter and the pump; anything narrower truncates Gaussian
-    tails visibly and triggers a warning.
+    tails visibly and triggers a warning.  n_points sets the resolution:
+    make_default_grids picks it from the narrowest width the band holds,
+    make_click_grids and explicit callers pass it.
     """
 
     band_center: float
@@ -102,14 +106,40 @@ class FrequencyGrid:
         return FrequencyGrid(self.band_center, self.half_width, 2 * self.n_points)
 
 
-def make_default_grids(config: SourceConfig, n_points: int = DEFAULT_POINTS):
-    """Band grids for the quadrature oracle: 6 widths of the wider of the
-    band filter and the pump, centered on the filter centers."""
+def make_default_grids(config: SourceConfig, n_points: int | None = None):
+    """Band grids for the quadrature oracle and the mode analysis, centered
+    on the filter centers, each 6 widths of the wider of its filter and the
+    pump.
+
+    Without n_points each band is sized from the narrowest Gaussian it must
+    resolve, finest = min(sigma_p, sigma_f / sqrt(2)) (the widths of
+    |phi|^2 along one axis and of |f|^2): POINTS_PER_WIDTH points per
+    finest width, at most MAX_DEFAULT_POINTS.  The trapezoid rule on a
+    Gaussian converges like exp(-2 pi^2 (sigma / h)^2), so that spacing
+    already sits at rounding level.  A band the cap binds on (sigma' below
+    ~0.035) is resolved at fewer points per width, and one ConfigWarning
+    names it.  An explicit n_points gives both bands that many points.
+    """
     sp = config.pump.bandwidth_sigma
-    return tuple(
-        FrequencyGrid(filt.center_omega, 6.0 * max(sp, filt.sigma), n_points)
-        for filt in (config.signal_filter, config.idler_filter)
-    )
+    grids, capped = [], []
+    for name, filt in (("signal", config.signal_filter), ("idler", config.idler_filter)):
+        half_width = 6.0 * max(sp, filt.sigma)
+        n = n_points
+        if n is None:
+            finest = min(sp, filt.sigma / math.sqrt(2.0))
+            n = math.ceil(2.0 * half_width / finest * POINTS_PER_WIDTH) + 1
+            if n > MAX_DEFAULT_POINTS:
+                capped.append(name)
+                n = MAX_DEFAULT_POINTS
+        grids.append(FrequencyGrid(filt.center_omega, half_width, n))
+    if capped:
+        warnings.warn(
+            f"{'/'.join(capped)} quadrature grid capped at {MAX_DEFAULT_POINTS} points: "
+            f"band resolved at fewer than {POINTS_PER_WIDTH:g} points per width",
+            ConfigWarning,
+            stacklevel=2,
+        )
+    return tuple(grids)
 
 
 def _both_grids_or_none(grid_s, grid_i, defaults):
@@ -171,7 +201,7 @@ def _inner_pump_integral(offsets: np.ndarray, sigma_p: float) -> np.ndarray:
     band plus 8 pump widths."""
     lo = -float(np.max(offsets)) - 8.0 * sigma_p
     hi = -float(np.min(offsets)) + 8.0 * sigma_p
-    n = max(64, int(np.ceil((hi - lo) / (sigma_p / 3.0))) + 1)
+    n = max(64, int(np.ceil((hi - lo) / (sigma_p / POINTS_PER_WIDTH))) + 1)
     nu = np.linspace(lo, hi, n)
     dnu = nu[1] - nu[0]
     phy = np.exp(-np.add.outer(offsets, nu) ** 2 / (4.0 * sigma_p**2))

@@ -123,6 +123,10 @@ class TestOneSidecar:
             assert manifest["numpy_version"] == np.__version__
             # only mc draws random numbers, so only its manifest names a scheme
             assert manifest.get("rng_scheme") == (RNG_SCHEME if argv[0] == "mc" else None)
+            # oracle and modes size their quadrature grids from the config
+            # (52 points per band at sigma' = 1) and record them
+            grid_points = [52, 52] if argv[0] in ("oracle", "modes") else None
+            assert manifest.get("quadrature_grid_points") == grid_points
 
 
 class TestUsageErrors:

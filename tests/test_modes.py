@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -95,7 +96,7 @@ class TestMarginalModeNumber:
 
     def test_matches_closed_form_at_unit_bandwidth(self, symmetric):
         k = marginal_mode_number(symmetric(1.0, 1.0, 0.01), "signal")
-        assert 1.0 + 1.0 / k == pytest.approx(1.8164965809277263, abs=1e-3)
+        assert 1.0 + 1.0 / k == pytest.approx(1.8164965809277263, abs=1e-12)
 
     def test_independent_of_other_band(self, symmetric):
         values = [
@@ -108,7 +109,7 @@ class TestMarginalModeNumber:
     def test_consistency_with_band_autocorrelation(self, symmetric, sigma):
         config = symmetric(sigma, 0.5, 0.01)
         k = marginal_mode_number(config, "signal")
-        assert 1.0 + 1.0 / k == pytest.approx(unconditional_g2(sigma), abs=1e-3)
+        assert 1.0 + 1.0 / k == pytest.approx(unconditional_g2(sigma), abs=1e-12)
 
     def test_rejects_unknown_band(self, symmetric):
         with pytest.raises(ValueError):
@@ -127,6 +128,30 @@ class TestMarginalModeNumber:
         mu = np.clip(np.linalg.eigvalsh(kernel), 0.0, None)
         expected = mu.sum() ** 2 / np.sum(mu**2)
         assert marginal_mode_number(config, band) == pytest.approx(expected, rel=1e-12)
+
+
+MEHLER_SIGMAS = (0.1, 0.3, 1.0, 3.0, 5.0)
+
+
+class TestMehlerClosedForms:
+    """mode_report on the default grids against the exact answer: the
+    filtered amplitude is a bivariate Gaussian, so by Mehler's formula its
+    Schmidt spectrum is geometric, lambda_k = (1 - mu) mu^k with
+    mu = (K - 1) / (K + 1), and each band's marginal mode number is
+    K_eff = sqrt(1 + sigma'^2 / 2)."""
+
+    @pytest.mark.parametrize("sig_i", MEHLER_SIGMAS)
+    @pytest.mark.parametrize("sig_s", MEHLER_SIGMAS)
+    def test_mode_report_matches_mehler(self, symmetric, sig_s, sig_i):
+        report = mode_report(symmetric(sig_s, sig_i, 0.02))
+        k = math.sqrt((2 + sig_s**2) * (2 + sig_i**2) / (2 * (2 + sig_s**2 + sig_i**2)))
+        mu = (k - 1) / (k + 1)
+        coefficients = (1 - mu) * mu ** np.arange(16)
+        assert report.schmidt_number == pytest.approx(k, rel=1e-12, abs=0)
+        assert np.max(np.abs(np.array(report.schmidt_coefficients) - coefficients)) <= 5e-13
+        for g2, sigma in ((report.g2_signal_pred, sig_s), (report.g2_idler_pred, sig_i)):
+            k_eff = 1.0 / (g2 - 1.0)
+            assert k_eff == pytest.approx(math.sqrt(1 + sigma**2 / 2), rel=1e-12, abs=0)
 
 
 class TestModeReport:

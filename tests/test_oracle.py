@@ -52,6 +52,48 @@ class TestFrequencyGrid:
         assert grid.spacing == pytest.approx(12.0 / 32)
 
 
+SIZED_SIGMAS = (0.1, 0.3, 1.0, 3.0, 5.0)
+
+
+class TestDefaultGridSizing:
+    """make_default_grids sizes each band from the narrowest Gaussian it
+    resolves, min(sigma_p, sigma_f / sqrt(2)), at POINTS_PER_WIDTH points
+    per width and at most MAX_DEFAULT_POINTS points."""
+
+    @pytest.mark.parametrize("sig_i", SIZED_SIGMAS)
+    @pytest.mark.parametrize("sig_s", SIZED_SIGMAS)
+    def test_spacing_resolves_the_narrowest_width(self, symmetric, sig_s, sig_i):
+        config = symmetric(sig_s, sig_i, 0.02)
+        sp = config.pump.bandwidth_sigma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConfigWarning)
+            grids = make_default_grids(config)
+        for grid, filt in zip(grids, (config.signal_filter, config.idler_filter)):
+            finest = min(sp, filt.sigma / math.sqrt(2.0))
+            assert grid.band_center == filt.center_omega
+            assert grid.half_width == 6.0 * max(sp, filt.sigma)
+            assert grid.n_points < oracle.MAX_DEFAULT_POINTS
+            assert grid.spacing <= finest / oracle.POINTS_PER_WIDTH
+            # and no finer: one point fewer would miss the resolution
+            assert 2.0 * grid.half_width / (grid.n_points - 2) > finest / oracle.POINTS_PER_WIDTH
+
+    def test_cap_binds_with_one_warning(self, symmetric):
+        config = symmetric(0.01, 0.01, 0.02)
+        with pytest.warns(ConfigWarning) as record:
+            grids = make_default_grids(config)
+        assert [grid.n_points for grid in grids] == [1024, 1024]
+        assert len(record) == 1
+        assert "fewer than 3 points per width" in str(record[0].message)
+
+    def test_explicit_points_are_honoured(self, symmetric):
+        config = symmetric(0.01, 3.0, 0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConfigWarning)
+            grids = make_default_grids(config, 64)
+        assert [grid.n_points for grid in grids] == [64, 64]
+        assert [grid.half_width for grid in grids] == [6.0, 18.0]
+
+
 class TestCorrelationMatrices:
     def test_zero_gain_zero_matrices(self, symmetric):
         config = symmetric(1.0, 1.0, 0.0)
@@ -85,14 +127,15 @@ class TestCorrelationMatrices:
 
 
 class TestNumericCounts:
-    @pytest.mark.parametrize("sig_s", [0.3, 1.0, 2.0])
-    @pytest.mark.parametrize("sig_i", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("sig_s", [0.1, 0.3, 1.0, 2.0, 3.0, 5.0])
+    @pytest.mark.parametrize("sig_i", [0.1, 0.3, 1.0, 2.0, 3.0, 5.0])
     def test_matches_closed_forms(self, symmetric, sig_s, sig_i):
+        # on the sized default grids; the worst of these 36 is ~2.7e-12
         config = symmetric(sig_s, sig_i, 0.01, det_efficiencies=EFF)
         analytic, _ = full_report(config)
         numeric = numeric_counts(config)
         for field in ORACLE_FIELDS:
-            assert rel_err(getattr(numeric, field), getattr(analytic, field)) < 1e-6, field
+            assert rel_err(getattr(numeric, field), getattr(analytic, field)) <= 1e-11, field
 
     def test_matches_at_mixed_efficiencies(self, symmetric):
         config = symmetric(
