@@ -4,51 +4,17 @@
 For each of the three dual-band filter pairs (signal/idler FWHM 0.6/0.6,
 1.1/0.6 and 1.1/1.1 nm behind a 0.3 nm pump), simulate a pump-power sweep
 with Raman background on, fit the linear+quadratic power law, subtract the
-Raman part, and write raw and corrected estimates.  The corrected H should
-come out power-independent and ordered 1.1/0.6 > 1.1/1.1 > 0.6/0.6."""
+Raman part, and write raw and corrected estimates.  The setups are
+hsps.pipeline.PAPER_FILTER_PAIRS (F_I, F_II, F_III).  The corrected H should
+come out power-independent and ordered F_II > F_III > F_I."""
 
 import argparse
 import pathlib
+from math import sqrt
 
 from hsps import pipeline
-from hsps.config import (
-    ChannelExtras,
-    DetectorSpec,
-    FiberSpec,
-    FilterSpec,
-    GainParameter,
-    PumpSpec,
-    SourceConfig,
-    fwhm_nm_to_sigma,
-)
-
-PUMP_NM, SIGNAL_NM, IDLER_NM = 1538.9, 1544.53, 1531.9
-
-FILTER_PAIRS = {
-    "F_narrow_narrow": (0.6, 0.6),
-    "F_wide_narrow": (1.1, 0.6),
-    "F_wide_wide": (1.1, 1.1),
-}
-
-# photon-level Raman/pair coefficients per idler FWHM (per mW, per mW^2)
-RAMAN_COEFFS = {0.6: (0.030, 0.012), 1.1: (0.061, 0.027)}
-
-
-def build_config(signal_fwhm: float, idler_fwhm: float) -> SourceConfig:
-    return SourceConfig(
-        pump=PumpSpec(PUMP_NM, fwhm_nm_to_sigma(0.3, PUMP_NM)),
-        fiber=FiberSpec(transmission=1.0),
-        gain=GainParameter(1e-3),  # placeholder, overridden by the power model
-        signal_filter=FilterSpec(SIGNAL_NM, fwhm_nm_to_sigma(signal_fwhm, SIGNAL_NM)),
-        idler_filter=FilterSpec(IDLER_NM, fwhm_nm_to_sigma(idler_fwhm, IDLER_NM)),
-        detectors=(
-            DetectorSpec(efficiency=0.5),
-            DetectorSpec(efficiency=0.8),
-            DetectorSpec(efficiency=0.8),
-        ),
-        channels=ChannelExtras(),
-        center_tolerance=20.0,  # real centers miss symmetry by ~11 pump sigmas
-    )
+from hsps.config import normalize
+from hsps.stats import collection_efficiency
 
 
 def main():
@@ -61,14 +27,8 @@ def main():
     args = parser.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    from math import sqrt
-
-    from hsps.config import normalize
-    from hsps.stats import collection_efficiency
-
-    for label, (sfw, ifw) in FILTER_PAIRS.items():
-        config = build_config(sfw, ifw)
-        s1, s2 = RAMAN_COEFFS[ifw]
+    for label in pipeline.PAPER_FILTER_PAIRS:
+        config, s1, s2 = pipeline.paper_filter_pair(label)
         bands = normalize(config)
         xi = collection_efficiency(bands.sigma_s_prime, bands.sigma_i_prime)
         # pair rate grows as s2 xi p^2: aim the grid at the requested target

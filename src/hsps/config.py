@@ -12,13 +12,16 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 
 # 2*pi*c with c in nm/s, so that omega [rad/s] = TWO_PI_C_NM / lambda [nm]
 TWO_PI_C_NM = 2.0 * math.pi * 2.99792458e17
 
 # FWHM = 2*sqrt(2*ln 2) * sigma for a Gaussian amplitude profile
 GAUSSIAN_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
+
+# filter centers that miss energy conservation by more pump sigmas than this warn
+CENTER_TOLERANCE_SIGMAS = 0.01
 
 
 class ConfigError(ValueError):
@@ -216,8 +219,9 @@ class SourceConfig:
 
     detectors holds (herald detector on the idler band, then the two signal
     arm detectors behind the 50/50 coupler).  Filter centers should satisfy
-    omega_s0 + omega_i0 = 2*omega_p0; a mismatch beyond center_tolerance
-    pump sigmas only warns, since real filter centers are approximate.
+    omega_s0 + omega_i0 = 2*omega_p0; a mismatch beyond
+    CENTER_TOLERANCE_SIGMAS pump sigmas only warns, since real filter
+    centers are approximate.
     """
 
     pump: PumpSpec
@@ -227,7 +231,6 @@ class SourceConfig:
     idler_filter: FilterSpec
     detectors: tuple[DetectorSpec, DetectorSpec, DetectorSpec]
     channels: ChannelExtras = field(default_factory=ChannelExtras)
-    center_tolerance: float = 0.01
 
     def __post_init__(self):
         if len(self.detectors) != 3:
@@ -237,7 +240,7 @@ class SourceConfig:
         if len(divisors) != 1:
             raise ConfigError("all detectors must share one gate_divisor for coincidence gating")
         mismatch = abs(self.center_mismatch_sigmas)
-        if mismatch > self.center_tolerance:
+        if mismatch > CENTER_TOLERANCE_SIGMAS:
             warnings.warn(
                 f"filter centers miss energy conservation by {mismatch:.3g} pump sigmas",
                 ConfigWarning,
@@ -371,17 +374,19 @@ def _require(mapping: dict, key: str, where: str, default=None):
 def _spec_from_dict(cls, node, where: str, keys: tuple[str, ...]):
     """cls from the JSON object node, whose keys name cls's fields in order.
 
-    Every value must be a finite number (JSON admits NaN and Infinity, which
-    no field of the model can hold), an int field an integral one, and
-    fwhm_nm is converted to a sigma at the object's own center_nm.
+    Every value must be a finite JSON number, not text or a boolean (JSON
+    admits NaN and Infinity, which no field of the model can hold), an int
+    field an integral one, and fwhm_nm is converted to a sigma at the
+    object's own center_nm.
     """
     node = _object(node, where, keys)
     values = {}
     for key, f in zip(keys, fields(cls), strict=True):
         value = _require(node, key, where, None if f.default is MISSING else f.default)
+        is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
         try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):
+            number = float(value) if is_number else math.nan
+        except OverflowError:  # a JSON integer no float holds
             number = math.nan
         if not math.isfinite(number):
             raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
@@ -454,5 +459,9 @@ def load_config(path) -> SourceConfig:
 
 
 def with_gain(config: SourceConfig, g_squared: float) -> SourceConfig:
-    """Copy of config with a different |G|^2."""
-    return replace(config, gain=GainParameter(g_squared))
+    """Copy of config with a different |G|^2.  Only the new gain is checked:
+    dataclasses.replace would re-run SourceConfig.__post_init__ on fields the
+    copy shares with config and repeat its center warning."""
+    copy = object.__new__(SourceConfig)
+    copy.__dict__.update(vars(config), gain=GainParameter(g_squared))
+    return copy

@@ -27,12 +27,13 @@ K_eff stays at or below 1.05 (SINGLE_MODE_K_MAX), i.e. g2 above 1.95.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .config import SourceConfig
-from .oracle import FrequencyGrid, _both_grids_or_none, make_default_grids
+from .config import ConfigWarning, SourceConfig
+from .oracle import FrequencyGrid, _both_grids_or_none, _default_grids, make_default_grids
 from .spectral import filter_amplitude, pump_envelope
 
 SINGLE_MODE_K_MAX = 1.05
@@ -111,16 +112,13 @@ def marginal_mode_number(config: SourceConfig, band: str) -> float:
     kernel eigenvalues; it depends only on this band's filter and the pump,
     not on the conjugate filter, and satisfies 1 + 1/K_eff = g2(band)
     to ~1e-13 on the band's grid from make_default_grids, which is sized
-    from the narrower of the pump and this filter.
+    from the narrower of the pump and this filter; only that grid is built.
     """
-    if band == "signal":
-        filt, grid_index = config.signal_filter, 0
-    elif band == "idler":
-        filt, grid_index = config.idler_filter, 1
-    else:
+    if band not in ("signal", "idler"):
         raise ValueError(f"band must be 'signal' or 'idler', got {band!r}")
-    w = make_default_grids(config)[grid_index].points()
-    f = filter_amplitude(w, filt)
+    (grid,) = _default_grids(config, (band,))
+    w = grid.points()
+    f = filter_amplitude(w, config.signal_filter if band == "signal" else config.idler_filter)
     kernel = np.outer(f, f) * np.exp(
         -np.subtract.outer(w, w) ** 2 / (8.0 * config.pump.bandwidth_sigma**2)
     )
@@ -135,7 +133,10 @@ def mode_report(config: SourceConfig) -> ModeReport:
     idler trace of F), a heuristic figure: it assumes the herald projects
     onto the filtered idler modes.
     """
-    decomposition = schmidt(filtered_jsa(config))
+    with warnings.catch_warnings():
+        # the band calls below give each capped grid's warning once
+        warnings.simplefilter("ignore", ConfigWarning)
+        decomposition = schmidt(filtered_jsa(config))
     k_signal = marginal_mode_number(config, "signal")
     k_idler = marginal_mode_number(config, "idler")
     return ModeReport(

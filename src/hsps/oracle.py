@@ -116,13 +116,22 @@ def make_default_grids(config: SourceConfig, n_points: int | None = None):
     |phi|^2 along one axis and of |f|^2): POINTS_PER_WIDTH points per
     finest width, at most MAX_DEFAULT_POINTS.  The trapezoid rule on a
     Gaussian converges like exp(-2 pi^2 (sigma / h)^2), so that spacing
-    already sits at rounding level.  A band the cap binds on (sigma' below
-    ~0.035) is resolved at fewer points per width, and one ConfigWarning
-    names it.  An explicit n_points gives both bands that many points.
+    already sits at rounding level.  That is ceil(36 sqrt(2) / sigma') + 1
+    points up to sigma' = 1 and ceil(36 sigma') + 1 from sqrt(2) on, so the
+    cap binds below sigma' ~0.0498 and above ~28.4: one ConfigWarning names
+    the bands then resolved at fewer points per width.  An explicit
+    n_points gives both bands that many points.
     """
+    return _default_grids(config, ("signal", "idler"), n_points)
+
+
+def _default_grids(config: SourceConfig, bands, n_points=None):
+    """make_default_grids for the named bands only; the cap warning lands at
+    the caller of the public function that called this one."""
     sp = config.pump.bandwidth_sigma
     grids, capped = [], []
-    for name, filt in (("signal", config.signal_filter), ("idler", config.idler_filter)):
+    for name in bands:
+        filt = config.signal_filter if name == "signal" else config.idler_filter
         half_width = 6.0 * max(sp, filt.sigma)
         n = n_points
         if n is None:
@@ -137,7 +146,7 @@ def make_default_grids(config: SourceConfig, n_points: int | None = None):
             f"{'/'.join(capped)} quadrature grid capped at {MAX_DEFAULT_POINTS} points: "
             f"band resolved at fewer than {POINTS_PER_WIDTH:g} points per width",
             ConfigWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return tuple(grids)
 

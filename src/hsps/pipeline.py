@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .config import ConfigWarning, SourceConfig, normalize
+from .config import ConfigWarning, SourceConfig, config_from_dict, normalize
 from .montecarlo import (
     EstimatorResult,
     TallyCounters,
@@ -324,6 +324,32 @@ def synthesize_power_sweep(
         tallies = simulate(model, pulses_per_point, seed=seed + 7919 * k)
         records.append(PowerPointRecord(p_ave=float(p_ave), tallies=tallies))
     return records
+
+
+# The paper's filter pairs behind its 0.3 nm pump, label -> (signal, idler) FWHM
+# in nm, and their photon-level Raman/pair coefficients (s1 per mW, s2 per mW^2)
+# keyed by the idler FWHM
+PAPER_FILTER_PAIRS = {"F_I": (0.6, 0.6), "F_II": (1.1, 0.6), "F_III": (1.1, 1.1)}
+RAMAN_BY_IDLER_FWHM = {0.6: (0.030, 0.012), 1.1: (0.061, 0.027)}
+
+
+def paper_filter_pair(label: str) -> tuple[SourceConfig, float, float]:
+    """(config, s1, s2) of the paper's filter pair label (F_I, F_II, F_III).
+
+    The centers are the quoted lab wavelengths, which miss energy
+    conservation by ~11.2 pump sigmas, so the config warns.  |G|^2 is a
+    placeholder that synthesize_power_sweep replaces by the power model's.
+    """
+    signal_fwhm, idler_fwhm = PAPER_FILTER_PAIRS[label]
+    config = config_from_dict({
+        "pump": {"center_nm": 1538.9, "fwhm_nm": 0.3},
+        "fiber": {},
+        "gain": {"g_squared": 1e-3},
+        "filters": {"signal": {"center_nm": 1544.53, "fwhm_nm": signal_fwhm},
+                    "idler": {"center_nm": 1531.9, "fwhm_nm": idler_fwhm}},
+        "detectors": [{"efficiency": eff} for eff in (0.5, 0.8, 0.8)],
+    })
+    return (config, *RAMAN_BY_IDLER_FWHM[idler_fwhm])
 
 
 # ---------------------------------------------------------------------------

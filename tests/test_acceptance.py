@@ -14,18 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from hsps.config import (
-    ChannelExtras,
-    DetectorSpec,
-    FiberSpec,
-    FilterSpec,
-    GainParameter,
-    PumpSpec,
-    SourceConfig,
-    config_to_dict,
-    fwhm_nm_to_sigma,
-    make_symmetric_config,
-)
+from hsps.config import config_to_dict, make_symmetric_config
 from hsps import modes, montecarlo as mc, oracle, pipeline as pl
 from hsps.cli import run as cli_run
 from hsps.stats import full_report, unconditional_g2
@@ -214,40 +203,16 @@ class TestCriterion6PipelineReproduction:
                  f"{cor_slope:+.4f} +- {cor_se:.4f}")
 
 
-PUMP_NM, SIGNAL_NM, IDLER_NM = 1538.9, 1544.53, 1531.9
-# Raman/pair coefficients keyed by the idler-band filter FWHM (nm)
-RAMAN_BY_IDLER_FWHM = {0.6: (0.030, 0.012), 1.1: (0.061, 0.027)}
-
-
-def _filter_pair_config(signal_fwhm, idler_fwhm):
-    return SourceConfig(
-        pump=PumpSpec(PUMP_NM, fwhm_nm_to_sigma(0.3, PUMP_NM)),
-        fiber=FiberSpec(transmission=1.0),
-        gain=GainParameter(1e-3),
-        signal_filter=FilterSpec(SIGNAL_NM, fwhm_nm_to_sigma(signal_fwhm, SIGNAL_NM)),
-        idler_filter=FilterSpec(IDLER_NM, fwhm_nm_to_sigma(idler_fwhm, IDLER_NM)),
-        detectors=(
-            DetectorSpec(efficiency=EFF[0]),
-            DetectorSpec(efficiency=EFF[1]),
-            DetectorSpec(efficiency=EFF[2]),
-        ),
-        channels=ChannelExtras(),
-        center_tolerance=20.0,
-    )
-
-
 class TestCriterion7FilterPairOrderings:
     def test_corrected_orderings(self):
         from hsps.stats import collection_efficiency, normalize
 
         target_p_pair = 0.04
-        labels = [("F_I", 0.6, 0.6), ("F_II", 1.1, 0.6), ("F_III", 1.1, 1.1)]
         corrected_at_target = {}
-        for label, sfw, ifw in labels:
-            config = _filter_pair_config(sfw, ifw)
+        for label in pl.PAPER_FILTER_PAIRS:
+            config, s1, s2 = pl.paper_filter_pair(label)
             bands = normalize(config)
             xi = collection_efficiency(bands.sigma_s_prime, bands.sigma_i_prime)
-            s1, s2 = RAMAN_BY_IDLER_FWHM[ifw]
             # power at which the pair rate reaches the common target
             p_target = math.sqrt(target_p_pair / (s2 * xi))
             powers = [f * p_target for f in (0.65, 0.85, 1.0, 1.15)]

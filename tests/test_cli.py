@@ -331,6 +331,9 @@ class TestInputBoundary:
             ("fiber", "length_m", float("inf")),
             ("pump", "rep_rate_hz", float("nan")),
             ("detectors", "dead_time_gates", 2.7),
+            ("gain", "g_squared", "0.01"),  # text and booleans are not JSON numbers
+            ("pump", "fwhm_nm", " 0.3 "),
+            ("detectors", "efficiency", True),
         ],
     )
     def test_bad_config_value_exits_1(self, tmp_path, capsys, section, key, value):

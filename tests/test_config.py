@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from hsps.config import (
     make_symmetric_config,
     normalize,
     sigma_to_fwhm_nm,
+    with_gain,
 )
 
 C_NM_PER_S = 2.99792458e17
@@ -199,6 +201,16 @@ class TestSpecValidation:
             GainParameter(0.2)
         assert [w.filename for w in caught] == [__file__]
 
+    def test_gain_copy_checks_only_the_new_gain(self):
+        config = load_config("configs/demo.json")  # warns: centers 11.2 sigmas off
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConfigWarning)
+            copy = with_gain(config, 0.02)
+        assert copy == config_from_dict({**_demo_doc(), "gain": {"g_squared": 0.02}})
+        with pytest.warns(ConfigWarning, match="low-gain guard") as caught:
+            with_gain(config, 0.2)
+        assert len(caught) == 1
+
     def test_mixed_gate_divisors_rejected(self):
         config = make_symmetric_config(1.0, 1.0, 0.01)
         doc = config_to_dict(config)
@@ -357,6 +369,12 @@ class TestJsonBoundary:
         for step in path[:-1]:
             node = node[step]
         node[path[-1]] = value
+        if value is None or isinstance(value, (str, bool)):
+            # not a JSON number, whatever float() would make of it
+            where = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path)[1:]
+            with pytest.raises(ConfigError, match=re.escape(f"{where} must be a finite number")):
+                config_from_dict(doc)
+            return
         try:
             config_from_dict(doc)
         except ConfigError:

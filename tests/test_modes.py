@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,28 @@ class TestModeReport:
         assert doc["single_mode_heralding"] is True
         assert sum(doc["schmidt_coefficients"]) == pytest.approx(1.0, abs=1e-6)
 
+    def test_one_cap_warning_per_capped_band_and_the_same_numbers(self, symmetric):
+        config = symmetric(0.02, 1.0, 0.01)  # only the signal band is capped
+        calls = {"report": lambda: mode_report(config),
+                 "schmidt": lambda: schmidt(filtered_jsa(config)),
+                 "signal": lambda: marginal_mode_number(config, "signal"),
+                 "idler": lambda: marginal_mode_number(config, "idler")}
+        results = {}
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                results[name] = call()
+            named = [str(w.message).split()[0] for w in caught]
+            assert named == ([] if name == "idler" else ["signal"]), name
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mode_report(symmetric(0.02, 0.02, 0.01))
+        assert [str(w.message).split()[0] for w in caught] == ["signal", "idler"]
+        report = results["report"]
+        assert report.schmidt_number == results["schmidt"].schmidt_number
+        assert report.schmidt_coefficients == tuple(results["schmidt"].coefficients[:16])
+        assert report.g2_signal_pred == 1.0 + 1.0 / results["signal"]
+        assert report.g2_idler_pred == 1.0 + 1.0 / results["idler"]
 
 
 def test_import_leaves_out_pipeline_and_montecarlo():

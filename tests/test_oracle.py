@@ -78,12 +78,14 @@ class TestDefaultGridSizing:
             assert 2.0 * grid.half_width / (grid.n_points - 2) > finest / oracle.POINTS_PER_WIDTH
 
     def test_cap_binds_with_one_warning(self, symmetric):
-        config = symmetric(0.01, 0.01, 0.02)
-        with pytest.warns(ConfigWarning) as record:
-            grids = make_default_grids(config)
-        assert [grid.n_points for grid in grids] == [1024, 1024]
-        assert len(record) == 1
-        assert "fewer than 3 points per width" in str(record[0].message)
+        # the cap binds below sigma' ~0.0498 and above ~28.4 (grids only)
+        for sigma in (0.01, 30.0):
+            config = symmetric(sigma, sigma, 0.02)
+            with pytest.warns(ConfigWarning) as record:
+                grids = make_default_grids(config)
+            assert [grid.n_points for grid in grids] == [1024, 1024]
+            assert len(record) == 1
+            assert "fewer than 3 points per width" in str(record[0].message)
 
     def test_explicit_points_are_honoured(self, symmetric):
         config = symmetric(0.01, 3.0, 0.02)

@@ -10,11 +10,15 @@ would fail a workload or the traced run fails here first.
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import re
 import sys
 
 import pytest
+
+from hsps import pipeline
+from hsps.config import config_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -61,3 +65,18 @@ def test_layer_metrics_name_public_functions(perfbench):
         func = getattr(module, func_name, None)
         assert inspect.isfunction(func) and func.__module__ == module.__name__, traced
         assert not func_name.startswith("_"), traced
+
+
+def test_sweep_reduce_setups_are_the_declared_ones(perfbench, tmp_path):
+    # the benchmark's frozen copy of the paper's filter pairs differs from
+    # pipeline.paper_filter_pair only in its energy-matched signal center
+    workloads, _ = perfbench
+    workload = workloads.WORKLOADS["sweep_reduce"](ROOT, tmp_path, 12345, scale=0.01)
+    assert [job["label"] for job in workload.jobs] == list(pipeline.PAPER_FILTER_PAIRS)
+    for job in workload.jobs:
+        declared, s1, s2 = pipeline.paper_filter_pair(job["label"])
+        doc = json.loads(job["config_path"].read_text())
+        assert (config_from_dict(doc), job["s1"], job["s2"]) == (job["config"], s1, s2)
+        assert abs(job["config"].center_mismatch_sigmas) < 1e-6
+        doc["filters"]["signal"]["center_nm"] = declared.signal_filter.center_wavelength
+        assert config_from_dict(doc) == declared

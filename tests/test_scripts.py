@@ -47,7 +47,7 @@ def test_oracle_comparison(tmp_path):
 
 def test_synthetic_experiment(tmp_path):
     result = _run_script("run_synthetic_experiment.py", "--out-dir", str(tmp_path))
-    for label in ("F_narrow_narrow", "F_wide_narrow", "F_wide_wide"):
+    for label in ("F_I", "F_II", "F_III"):
         records = (tmp_path / f"records_{label}.csv").read_text().splitlines()
         assert records[0].startswith("p_ave_mw,gates,")
         assert len(records) == 1 + 5
