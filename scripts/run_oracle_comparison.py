@@ -14,7 +14,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out/oracle_comparison.csv", type=pathlib.Path)
     parser.add_argument("--gaussian", action="store_true",
-                        help="include the (slower) Gaussian-state rows")
+                        help="include the Gaussian-state rows")
     args = parser.parse_args()
     args.out.parent.mkdir(parents=True, exist_ok=True)
 

@@ -4,45 +4,9 @@ Closed-form photon-counting statistics for a pulse-pumped fiber pair
 source, brute-force numerical oracles validating them, Schmidt-mode
 analysis, a gated-detector Monte Carlo with Raman background and dark
 counts, and the power-sweep data-reduction chain.
+
+Names are imported from their modules (``hsps.config``, ``hsps.stats``,
+``hsps.oracle``, ...); importing one module loads only what it needs.
 """
 
 __version__ = "0.1.0"
-
-from .config import (
-    ChannelExtras,
-    ConfigError,
-    ConfigWarning,
-    DetectorSpec,
-    FiberSpec,
-    FilterSpec,
-    GainParameter,
-    ModelValidityError,
-    NormalizedBandwidths,
-    PumpSpec,
-    SourceConfig,
-    load_config,
-    make_symmetric_config,
-    normalize,
-)
-from .stats import CountProbabilities, FiguresOfMerit, full_report
-
-__all__ = [
-    "ChannelExtras",
-    "ConfigError",
-    "ConfigWarning",
-    "CountProbabilities",
-    "DetectorSpec",
-    "FiberSpec",
-    "FiguresOfMerit",
-    "FilterSpec",
-    "GainParameter",
-    "ModelValidityError",
-    "NormalizedBandwidths",
-    "PumpSpec",
-    "SourceConfig",
-    "full_report",
-    "load_config",
-    "make_symmetric_config",
-    "normalize",
-    "__version__",
-]

@@ -130,7 +130,7 @@ def _quadrature_grid_points(config) -> dict:
 def cmd_oracle(args) -> dict:
     """Returns the manifest's record of the quadrature grids."""
     config = load_config(args.config)
-    rows = oracle_mod.comparison_rows(config, include_gaussian=not args.no_gaussian)
+    rows = oracle_mod.comparison_rows(config, include_gaussian=True)
     oracle_mod.write_comparison_csv(rows, args.out)
     worst = max(rows, key=lambda r: r["rel_err"])
     log.info("worst relative error %.3e on %s", worst["rel_err"], worst["quantity"])
@@ -247,10 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", default="0.1:3.0:0.05",
                          help="normalized bandwidth axis as min:max:step (both axes)")
 
-    p_oracle = add("oracle", cmd_oracle, "closed form vs quadrature vs Gaussian-state CSV",
-                   needs_out_file=True)
-    p_oracle.add_argument("--no-gaussian", action="store_true",
-                          help="skip the Gaussian-state comparison rows")
+    add("oracle", cmd_oracle, "closed form vs quadrature vs Gaussian-state CSV",
+        needs_out_file=True)
 
     p_modes = add("modes", cmd_modes, "Schmidt spectrum and single-mode report")
     p_modes.add_argument("--p-pair", type=_pair_rate, default=0.005, dest="p_pair",
@@ -296,8 +294,7 @@ def run(argv) -> int:
         print(f"hsps: model validity: {exc}", file=sys.stderr)
         return 2
     except (mc.EstimationError, pipeline_mod.CorrectionRegimeError,
-            oracle_mod.OracleConvergenceError, oracle_mod.OracleConditioningError,
-            ValueError, OSError) as exc:
+            oracle_mod.OracleConditioningError, ValueError, OSError) as exc:
         print(f"hsps: error: {exc}", file=sys.stderr)
         return 1
     return 0

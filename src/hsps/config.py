@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -34,6 +35,17 @@ class ConfigWarning(UserWarning):
 
 class ModelValidityError(ValueError):
     """A computed probability left [0, 1]: the low-gain model does not apply."""
+
+
+def _caller_stacklevel() -> int:
+    """The stacklevel at which a warning raised by the calling function names
+    the first frame outside this module and the dataclass-generated __init__
+    (whose file reads <string>): the code that asked for the config, not the
+    line here that built it."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_code.co_filename in (__file__, "<string>"):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def omega_from_wavelength_nm(wavelength_nm: float) -> float:
@@ -130,7 +142,7 @@ class GainParameter:
                 f"|G|^2 = {self.g_squared} exceeds the low-gain guard "
                 f"{self.LOW_GAIN_GUARD}; closed forms lose accuracy",
                 ConfigWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     @property
@@ -244,7 +256,7 @@ class SourceConfig:
             warnings.warn(
                 f"filter centers miss energy conservation by {mismatch:.3g} pump sigmas",
                 ConfigWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
     @property

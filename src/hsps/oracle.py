@@ -51,10 +51,6 @@ DEFAULT_CLICK_POINTS = 128
 SCHMIDT_CUTOFF = 1e-20        # drop Schmidt pairs with sinh^2 below this fraction of the peak
 
 
-class OracleConvergenceError(RuntimeError):
-    """Grid refinement moved a result by more than the stated tolerance."""
-
-
 class OracleConditioningError(RuntimeError):
     """The assembled covariance is not a physical Gaussian state."""
 
@@ -100,10 +96,6 @@ class FrequencyGrid:
                 ConfigWarning,
                 stacklevel=2,
             )
-
-    def refined(self) -> "FrequencyGrid":
-        """The same band at twice the points."""
-        return FrequencyGrid(self.band_center, self.half_width, 2 * self.n_points)
 
 
 def make_default_grids(config: SourceConfig, n_points: int | None = None):
@@ -279,41 +271,14 @@ def _counts_from_matrices(config: SourceConfig, mats: CorrelationMatrices) -> Co
     return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
 
 
-_CONVERGENCE_FIELDS = (
-    "p1", "p2", "p3", "p12", "p13", "p23",
-    "p123_accidental", "p123_pair_single", "p123_bunching",
-)
-
-
 def numeric_counts(
     config: SourceConfig,
     grid_s: FrequencyGrid | None = None,
     grid_i: FrequencyGrid | None = None,
-    check_convergence: bool = False,
-    convergence_rtol: float = 1e-6,
 ) -> CountProbabilities:
-    """Count probabilities by quadrature of the correlation kernels.
-
-    With check_convergence=True the grids are refined by a factor of two and
-    any relative change beyond convergence_rtol raises
-    :class:`OracleConvergenceError`.
-    """
+    """Count probabilities by quadrature of the correlation kernels."""
     grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_default_grids(config))
-    counts = _counts_from_matrices(config, build_correlations(config, grid_s, grid_i))
-    if check_convergence:
-        fine = _counts_from_matrices(
-            config, build_correlations(config, grid_s.refined(), grid_i.refined())
-        )
-        for name in _CONVERGENCE_FIELDS:
-            coarse_v, fine_v = getattr(counts, name), getattr(fine, name)
-            if fine_v == 0.0:
-                continue
-            rel = abs(coarse_v - fine_v) / abs(fine_v)
-            if rel > convergence_rtol:
-                raise OracleConvergenceError(
-                    f"{name} moved by {rel:.2e} under grid doubling (> {convergence_rtol})"
-                )
-    return counts
+    return _counts_from_matrices(config, build_correlations(config, grid_s, grid_i))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +355,13 @@ def click_probs_from_pair_kernel(
     else:
         U, lam, Vt = np.linalg.svd(R, full_matrices=False)
         V = Vt.T
-    n = np.sinh(lam) ** 2
+    with np.errstate(over="ignore"):
+        n = np.sinh(lam) ** 2
+    if not math.isfinite(n[0]):
+        # an infinite peak would make the cutoff drop every pair: vacuum
+        raise OracleConditioningError(
+            f"leading Schmidt pair sinh^2 overflows (lambda = {lam[0]:.4g}): gain too high"
+        )
     keep = n > SCHMIDT_CUTOFF * n[0]
     U, V, lam, n = U[:, keep], V[:, keep], lam[keep], n[keep]
     c = np.sinh(lam) * np.cosh(lam)

@@ -95,7 +95,7 @@ class TestOneSidecar:
             (["report", "--config", "{config}", "--out", "report.json"], ["report.json"]),
             (["sweep", "--p-pair", "0.02", "--grid", "0.5:1.5:0.25", "--out", "fig.csv"],
              ["fig.csv"]),
-            (["oracle", "--config", "{config}", "--no-gaussian", "--out", "cmp.csv"], ["cmp.csv"]),
+            (["oracle", "--config", "{config}", "--out", "cmp.csv"], ["cmp.csv"]),
             (["modes", "--config", "{config}", "--out", "modes.json",
               "--sweep-out", "strategy.csv"], ["modes.json", "strategy.csv"]),
             (["mc", "--config", "{config}", "--pulses", "100000", "--out", "mc.json"],
@@ -204,10 +204,10 @@ class TestSweep:
 class TestOracle:
     def test_comparison_csv(self, config_path, tmp_path):
         out = tmp_path / "cmp.csv"
-        assert run(["oracle", "--config", config_path, "--no-gaussian",
-                    "--out", str(out)]) == 0
+        assert run(["oracle", "--config", config_path, "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("sigma_s_prime,")
+        assert sum("/gaussian_low_gain," in line for line in lines) == 6
         assert all(float(line.rsplit(",", 1)[1]) < 1e-6 for line in lines[1:])
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import re
 import warnings
 
@@ -27,6 +26,7 @@ from hsps.config import (
     sigma_to_fwhm_nm,
     with_gain,
 )
+from hsps import montecarlo as mc
 
 C_NM_PER_S = 2.99792458e17
 
@@ -190,16 +190,25 @@ class TestSpecValidation:
         ids=["load_config", "make_symmetric_config"],
     )
     def test_warning_names_a_source_line(self, build):
-        # not the dataclass-generated __init__, whose file reads <string>
+        # the caller's line: not the dataclass-generated __init__, whose file
+        # reads <string>, nor the config module's loader or builder
         with pytest.warns(ConfigWarning) as caught:
             build()
-        for w in caught:
-            assert w.filename != "<string>" and os.path.isfile(w.filename)
+        assert [w.filename for w in caught] == [__file__] * len(caught)
 
     def test_direct_construction_warns_at_the_caller(self):
         with pytest.warns(ConfigWarning) as caught:
             GainParameter(0.2)
         assert [w.filename for w in caught] == [__file__]
+
+    def test_gain_copy_warns_at_its_caller(self):
+        config = load_config("configs/demo.json")  # warns: centers 11.2 sigmas off
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConfigWarning)
+            with_gain(config, 0.2)
+            mc.build_pulse_model(config, raman=(0.061, 0.027, 6.0))  # |G|^2 = 0.108
+        assert all("low-gain guard" in str(w.message) for w in caught)
+        assert [w.filename for w in caught] == [__file__, mc.__file__]
 
     def test_gain_copy_checks_only_the_new_gain(self):
         config = load_config("configs/demo.json")  # warns: centers 11.2 sigmas off

@@ -200,14 +200,25 @@ class TestModeReport:
         assert report.g2_idler_pred == 1.0 + 1.0 / results["idler"]
 
 
-def test_import_leaves_out_pipeline_and_montecarlo():
-    # the mode analysis stands on config, oracle and spectral alone
-    code = "import sys, hsps.modes; print(' '.join(sorted(sys.modules)))"
+def _hsps_modules_after_import(module: str) -> set[str]:
+    """The hsps modules a fresh interpreter holds after importing module."""
+    code = f"import sys, {module}; print(' '.join(sys.modules))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     loaded = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
     ).stdout.split()
+    return {name for name in loaded if name == "hsps" or name.startswith("hsps.")}
+
+
+def test_import_leaves_out_pipeline_and_montecarlo():
+    # the mode analysis stands on config, oracle and spectral alone
+    loaded = _hsps_modules_after_import("hsps.modes")
     assert "hsps.modes" in loaded
     assert "hsps.pipeline" not in loaded
     assert "hsps.montecarlo" not in loaded
+
+
+def test_config_import_loads_only_config():
+    # the package __init__ re-exports nothing, so it pulls in no sibling
+    assert _hsps_modules_after_import("hsps.config") == {"hsps", "hsps.config"}

@@ -10,7 +10,7 @@ from hsps.config import ConfigWarning, make_symmetric_config
 from hsps import oracle
 from hsps.oracle import (
     FrequencyGrid,
-    OracleConvergenceError,
+    OracleConditioningError,
     build_correlations,
     click_probs_from_pair_kernel,
     comparison_rows,
@@ -151,19 +151,13 @@ class TestNumericCounts:
 
     def test_convergence_under_refinement(self, symmetric):
         config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
-        numeric_counts(config, check_convergence=True)
-
-    def test_convergence_error_on_coarse_grid(self, symmetric):
-        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
-        sp = config.pump.bandwidth_sigma
-        # 32 points over 12 sigma leaves visible discretization error
-        grid_s = FrequencyGrid(config.signal_filter.center_omega, 4.0 * sp, 32)
-        grid_i = FrequencyGrid(config.idler_filter.center_omega, 4.0 * sp, 32)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConfigWarning)
-            with pytest.raises(OracleConvergenceError):
-                numeric_counts(config, grid_s, grid_i, check_convergence=True,
-                               convergence_rtol=1e-10)
+        fine = numeric_counts(config, *(
+            FrequencyGrid(g.band_center, g.half_width, 2 * g.n_points)
+            for g in make_default_grids(config)
+        ))
+        coarse = numeric_counts(config)
+        for field in ORACLE_FIELDS:
+            assert rel_err(getattr(coarse, field), getattr(fine, field)) <= 1e-6, field
 
     def test_resolves_filter_center_misalignment(self):
         # the closed forms assume filter centers symmetric about the pump;
@@ -212,6 +206,13 @@ class TestGaussianClickEngine:
         config = symmetric(1.0, 1.0, 0.0, det_efficiencies=EFF)
         counts = gaussian_click_probs(config, order="all_order")
         assert counts.p1 == 0.0 and counts.p123 == 0.0
+
+    def test_overflowing_gain_raises_instead_of_vacuum(self):
+        # the leading lambda is ~757, so sinh^2 is inf and a cutoff relative
+        # to it would drop every Schmidt pair
+        config = make_symmetric_config(1.0, 1.0, 5e4)
+        with pytest.raises(OracleConditioningError, match="overflows"):
+            gaussian_click_probs(config, order="all_order")
 
     @pytest.mark.parametrize("r", [0.05, 0.4, 1.1])
     @pytest.mark.parametrize("eta", [0.2, 1.0])
