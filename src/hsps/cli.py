@@ -293,8 +293,7 @@ def run(argv) -> int:
     except ModelValidityError as exc:
         print(f"hsps: model validity: {exc}", file=sys.stderr)
         return 2
-    except (mc.EstimationError, pipeline_mod.CorrectionRegimeError,
-            oracle_mod.OracleConditioningError, ValueError, OSError) as exc:
+    except (mc.EstimationError, oracle_mod.OracleConditioningError, ValueError, OSError) as exc:
         print(f"hsps: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -59,10 +59,11 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TallyCounters:
-    """Raw click tallies.  Coincidences are same-slot; acc_* pair each gate
+    """Click tallies.  Coincidences are same-slot; acc_* pair each gate
     with the adjacent earlier gate of the partner detector (a vetoed gate
     contributes no click), so the coincidence and accidental rates see the
-    same dead-time thinning and their ratio stays unbiased."""
+    same dead-time thinning and their ratio stays unbiased.  The fields are
+    counts, or floats in :func:`model_predictions`' expected tallies."""
 
     gates: int
     singles_1: int = 0
@@ -260,13 +261,10 @@ def _herald_norm(config: SourceConfig) -> float:
 
 def model_predictions(model: PulseModel, config: SourceConfig) -> dict:
     """Exact expectation values of the tally-based estimators, dark counts
-    and Raman included, assuming no dead-time thinning."""
+    and Raman included, assuming no dead-time thinning: :func:`estimate` on
+    the expected tallies of one gate, accidentals p1 * p2 and p1 * p3."""
     j = _joint_probs(effective_pattern_probs(model))
-    figures = _figures(
-        (j["p1"], j["p12"], j["p13"], j["p1"] * j["p2"], j["p123"]),
-        (0.0,) * 5,
-        _herald_norm(config),
-    )
+    figures = estimate(_tallies(1, j, j["p1"] * j["p2"], j["p1"] * j["p3"]), config)
     return {name: r.value for name, r in vars(figures).items()} | {"joint": j}
 
 
@@ -513,31 +511,60 @@ def simulate(
         if progress is not None:
             progress((start + size) * model.gate_divisor, n_pulses)
 
-    j = _joint_probs(pattern_counts)
-    return TallyCounters(
-        gates=n_gates,
-        singles_1=j["p1"],
-        singles_2=j["p2"],
-        singles_3=j["p3"],
-        coinc_12=j["p12"],
-        coinc_13=j["p13"],
-        coinc_23=j["p23"],
-        acc_12=a12,
-        acc_13=a13,
-        triples_123=j["p123"],
-    )
+    return _tallies(n_gates, _joint_probs(pattern_counts), a12, a13)
 
 
-def _figures(counts, variances, herald_norm: float) -> Estimates:
-    """CAR, heralded g2, eta_D and H with delta-method standard errors.
+def _tallies(gates, j: dict, acc_12, acc_13) -> TallyCounters:
+    """Tallies from the subset sums j of :func:`_joint_probs` and the accidentals."""
+    return TallyCounters(gates, j["p1"], j["p2"], j["p3"], j["p12"], j["p13"], j["p23"],
+                         acc_12, acc_13, j["p123"])
 
-    counts are (n1, c12, c13, a12, t123) and variances their variances.
-    The counts are treated as independent, and the triples' variance has a
-    floor of one count, which gives g2 = 0 a nonzero error.  The values are
-    ratios, so any unit gives them (model_predictions passes probabilities).
+
+def estimate(tallies: TallyCounters, config: SourceConfig, *, beta: float = 0.0,
+             var_beta: float = 0.0) -> Estimates:
+    """CAR, heralded g2, heralding efficiency and conditional detection
+    efficiency from tallies, with delta-method standard errors.
+
+    The estimators mirror the experimental reduction: CAR is the same-slot
+    to adjacent-slot coincidence ratio, the heralded g2 is
+    triples * singles_1 / (coinc_13 * coinc_12), and H divides the true
+    coincidence rate by the herald singles and by the signal-channel
+    detection efficiency (coupler split included).
+
+    beta, the fitted Raman counts per gate in the herald band (variance
+    var_beta), is subtracted first: beta * gates from singles_1 and beta
+    times the partner (singles_2, singles_3, singles_2, coinc_23) from
+    coinc_12, coinc_13, acc_12 and triples_123.  A corrected tally
+    x - beta * s has variance x + s^2 var_beta + beta^2 s, the singles
+    singles_1 + gates^2 var_beta: the Poisson variances at beta = 0.  The
+    tallies are treated as independent, and the triples' variance has a
+    floor of one count: with no triples, g2 is 0 with error
+    singles_1 / (coinc_13 * coinc_12).
     """
-    n1, c12, c13, a12, t123 = counts
-    v_n1, v_c12, v_c13, v_a12, v_t123 = variances
+    t = tallies
+    if t.acc_12 == 0:
+        raise EstimationError(
+            "no accidental 1-2 coincidences tallied; CAR is undefined "
+            "(increase n_pulses or the pair rate)"
+        )
+    if t.singles_1 == 0 or t.coinc_12 == 0 or t.coinc_13 == 0:
+        raise EstimationError("zero counts in an estimator denominator; increase n_pulses")
+    herald_norm = _herald_norm(config)
+
+    n1 = t.singles_1 - beta * t.gates
+    if n1 <= 0:
+        raise EstimationError("Raman subtraction exhausts the herald singles")
+    v_n1 = t.singles_1 + var_beta * t.gates**2
+
+    def subtract(count, partner):
+        return count - beta * partner, count + partner**2 * var_beta + beta**2 * partner
+
+    c12, v_c12 = subtract(t.coinc_12, t.singles_2)
+    c13, v_c13 = subtract(t.coinc_13, t.singles_3)
+    a12, v_a12 = subtract(t.acc_12, t.singles_2)
+    t123, v_t123 = subtract(t.triples_123, t.coinc_23)
+    if c12 <= 0 or c13 <= 0 or a12 <= 0:
+        raise EstimationError("Raman subtraction exhausts the coincidences")
     v_t123 = max(v_t123, 1.0)
 
     car = c12 / a12
@@ -557,32 +584,8 @@ def _figures(counts, variances, herald_norm: float) -> Estimates:
     # Raman terms of c12 and a12 cancel), so round off the float error
     n_true = max(round(true_cc), 0)
     return Estimates(
-        car=EstimatorResult(car, car_se, max(int(a12), 0)),
+        car=EstimatorResult(car, car_se, int(a12)),
         g_c2=EstimatorResult(g2, g2_se, max(int(t123), 0)),
         h=EstimatorResult(eta_d / herald_norm, eta_d_se / herald_norm, n_true),
         eta_d=EstimatorResult(eta_d, eta_d_se, n_true),
     )
-
-
-def estimate(tallies: TallyCounters, config: SourceConfig) -> Estimates:
-    """CAR, heralded g2, heralding efficiency and conditional detection
-    efficiency from raw tallies, with delta-method standard errors.
-
-    The estimators mirror the experimental reduction: CAR is the same-slot
-    to adjacent-slot coincidence ratio, the heralded g2 is
-    triples * singles_1 / (coinc_13 * coinc_12), and H divides the true
-    coincidence rate by the herald singles and by the signal-channel
-    detection efficiency (coupler split included).  The figures and their
-    errors come from :func:`_figures` on the counts with Poisson variances;
-    with no triples, g2 is 0 with error singles_1 / (coinc_13 * coinc_12).
-    """
-    if tallies.acc_12 == 0:
-        raise EstimationError(
-            "no accidental 1-2 coincidences tallied; CAR is undefined "
-            "(increase n_pulses or the pair rate)"
-        )
-    if tallies.singles_1 == 0 or tallies.coinc_12 == 0 or tallies.coinc_13 == 0:
-        raise EstimationError("zero counts in an estimator denominator; increase n_pulses")
-    t = tallies
-    counts = (t.singles_1, t.coinc_12, t.coinc_13, t.acc_12, t.triples_123)
-    return _figures(counts, counts, _herald_norm(config))

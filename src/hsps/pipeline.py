@@ -31,10 +31,9 @@ import numpy as np
 
 from .config import ConfigWarning, SourceConfig, config_from_dict, normalize
 from .montecarlo import (
+    EstimationError,
     EstimatorResult,
     TallyCounters,
-    _figures,
-    _herald_norm,
     build_pulse_model,
     estimate,
     simulate,
@@ -52,9 +51,10 @@ class PipelineError(ValueError):
     """Malformed input data or an ill-posed reduction step."""
 
 
-class CorrectionRegimeError(RuntimeError):
-    """Raman subtraction left nonpositive counts: the fit does not describe
-    these records."""
+class CorrectionRegimeError(EstimationError):
+    """The estimate of one power point failed, mostly because Raman
+    subtraction left nonpositive counts: the fit does not describe these
+    records."""
 
 
 # After p_ave_mw, the columns are the fields of TallyCounters in its order
@@ -216,17 +216,15 @@ def raman_correct(
     (same for the 1-3 pair).  Raman clicks are independent of the signal
     band, so they enter every herald-bearing rate through products with the
     unconditioned signal-side rate; subtraction is first order in beta.
-    The subtraction is done in counts (rates times gates), with variances
-    that combine Poisson counting errors and the fit variance of s1.  The
-    corrected CAR, g2 and H come from the delta-method estimator behind
-    :func:`estimate` (``montecarlo._figures``), and raw_h is the H of
-    :func:`estimate` on the raw tallies.
+    The corrected CAR, g2 and H are :func:`estimate` with this beta and the
+    fit variance of s1 * p_ave as var_beta, and raw_h is the H of
+    :func:`estimate` on the raw tallies.  An estimate that fails raises
+    :class:`CorrectionRegimeError` naming the power point.
     """
     eta_i, eta_1 = config.idler_channel_transmission, config.detectors[0].efficiency
     if eta_i * eta_1 <= 0:
         raise PipelineError("herald-path detection efficiency is zero: no pair rate")
     bands = normalize(config)
-    herald_norm = _herald_norm(config)
     xi = collection_efficiency(bands.sigma_s_prime, bands.sigma_i_prime)
     var_s1 = fit.covariance[0][0]
 
@@ -234,37 +232,15 @@ def raman_correct(
     for rec in records:
         t = rec.tallies
         beta = fit.s1 * rec.p_ave
-        var_beta = var_s1 * rec.p_ave**2
+        try:
+            figures = estimate(t, config, beta=beta, var_beta=var_s1 * rec.p_ave**2)
+        except EstimationError as exc:
+            raise CorrectionRegimeError(f"p_ave={rec.p_ave}: {exc}") from None
         n1 = t.singles_1 / t.gates
-        n1c = n1 - beta
-        if n1c <= 0:
-            raise CorrectionRegimeError(
-                f"p_ave={rec.p_ave}: Raman subtraction exhausts the herald singles"
-            )
-
-        # corrected counts, with Poisson variances plus the fit contribution
-        def subtract(count, partner):
-            return count - beta * partner, count + partner**2 * var_beta + beta**2 * partner
-
-        c12c, v_c12 = subtract(t.coinc_12, t.singles_2)
-        c13c, v_c13 = subtract(t.coinc_13, t.singles_3)
-        a12c, v_a12 = subtract(t.acc_12, t.singles_2)
-        t123c, v_t123 = subtract(t.triples_123, t.coinc_23)
-        if c12c <= 0 or c13c <= 0 or a12c <= 0:
-            raise CorrectionRegimeError(
-                f"p_ave={rec.p_ave}: Raman subtraction exhausts the coincidences"
-            )
-        v_n1 = t.singles_1 + var_beta * t.gates**2
-
-        figures = _figures(
-            (t.singles_1 - beta * t.gates, c12c, c13c, a12c, t123c),
-            (v_n1, v_c12, v_c13, v_a12, v_t123),
-            herald_norm,
-        )
         out.append(
             CorrectedEstimates(
                 p_ave=rec.p_ave,
-                p_pair=pair_rate(n1c, eta_i, eta_1, xi),
+                p_pair=pair_rate(n1 - beta, eta_i, eta_1, xi),
                 car=figures.car,
                 g_c2=figures.g_c2,
                 h=figures.h,
@@ -356,6 +332,8 @@ def paper_filter_pair(label: str) -> tuple[SourceConfig, float, float]:
 # contour sweeps over normalized bandwidths
 # ---------------------------------------------------------------------------
 
+MAX_CONTOUR_POINTS = 1001      # per bandwidth axis; each surface holds its square
+
 
 @dataclass(frozen=True)
 class ContourGrid:
@@ -392,6 +370,9 @@ def sweep_contour(
         raise PipelineError("p_pair must be positive")
     if not (step > 0 and 0 < lo <= hi):
         raise PipelineError(f"need 0 < min <= max and step > 0, got {lo}:{hi}:{step}")
+    # the length of np.arange below, checked before anything is allocated
+    if not (hi - lo) / step + 0.5 <= MAX_CONTOUR_POINTS:
+        raise PipelineError(f"grid {lo}:{hi}:{step} has over {MAX_CONTOUR_POINTS} points per axis")
     sig = np.arange(lo, hi + step / 2, step)
     car_surf = car_closed_form(p_pair, sig[:, None], sig[None, :])
     g2_surf = heralded_g2_approx(unconditional_g2(sig)[:, None], car_surf)

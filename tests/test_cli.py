@@ -200,6 +200,13 @@ class TestSweep:
         assert "hsps: error:" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_oversized_grid_writes_nothing(self, tmp_path, capsys):
+        # 2.9e6 points per axis: rejected before any surface is allocated
+        assert run(["sweep", "--p-pair", "0.02", "--grid", "0.1:3.0:1e-6",
+                    "--out", str(tmp_path / "x.csv")]) == 1
+        assert "hsps: error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOracle:
     def test_comparison_csv(self, config_path, tmp_path):

@@ -574,6 +574,28 @@ class TestEstimate:
         base.update(kwargs)
         return TallyCounters(**base)
 
+    # the expected figures to the last bit, as they were before
+    # model_predictions went through estimate
+    @pytest.mark.parametrize("case, expected", [
+        ("symmetric", dict(car=12.253953951963826, g_c2=0.29282829355690737, h=0.5,
+                           eta_d=0.2)),
+        ("dark_raman", dict(car=5.8995083521530995, g_c2=0.577661102615283,
+                            h=0.2473761767002098, eta_d=0.09895047068008393)),
+        ("demo", dict(car=14.42798063820345, g_c2=0.21833845909918997,
+                      h=0.6233189563324011, eta_d=0.005654749571847543)),
+    ])
+    def test_model_predictions_pinned(self, symmetric, case, expected):
+        raman = None
+        if case == "demo":
+            config = load_config("configs/demo.json")
+        elif case == "symmetric":
+            config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
+        else:
+            config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF, dark=(2e-4, 2e-4, 5e-4))
+            raman = (0.05, 0.05, 1.0)
+        pred = model_predictions(build_pulse_model(config, raman=raman), config)
+        assert {k: v for k, v in pred.items() if k != "joint"} == expected
+
     def test_zero_accidentals_is_actionable(self, symmetric):
         config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
         with pytest.raises(EstimationError, match="n_pulses"):

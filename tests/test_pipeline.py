@@ -1,6 +1,9 @@
+import ast
 import csv
+import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,13 +226,13 @@ class TestRamanCorrection:
         for rec, cor in zip(records, corrected):
             assert cor.raman_fraction == 0.0
             t = rec.tallies
-            assert cor.car.value == pytest.approx(t.coinc_12 / t.acc_12, rel=1e-12)
+            assert cor.car.value == t.coinc_12 / t.acc_12
             # the corrected and raw figures are the raw-tally estimates
             est = estimate(t, config)
             for got, want in ((cor.car, est.car), (cor.g_c2, est.g_c2),
                               (cor.h, est.h), (cor.raw_h, est.h)):
-                assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
-                assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0)
+                assert got.value == want.value
+                assert got.std_error == want.std_error
                 assert got.n_effective == want.n_effective
 
     def test_corrected_h_flat_raw_h_rising(self, symmetric):
@@ -257,6 +260,27 @@ class TestRamanCorrection:
                                    covariance=((0.0, 0.0), (0.0, 0.0)))
         with pytest.raises(CorrectionRegimeError):
             raman_correct(records, inflated, config)
+
+    # exact fits of s1 = 0.25: with s2 < 0 the fitted Raman counts exceed the
+    # herald singles at every power; with s2 > 0 the singles stay positive,
+    # but from p = 1 on beta * singles_2 = 2.5 p exceeds acc_12 = 2
+    @pytest.mark.parametrize("s2, p_ave, exhausted", [
+        (-0.01, 0.25, "herald singles"), (0.01, 1.0, "coincidences"),
+    ], ids=["singles", "coincidences"])
+    def test_exhaustion_names_power_point(self, symmetric, tmp_path, capsys,
+                                          s2, p_ave, exhausted):
+        records = [exact_record(p, 0.25 * p + s2 * p**2) for p in EXACT_POWERS[:4]]
+        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
+        message = f"p_ave={p_ave}: Raman subtraction exhausts the {exhausted}"
+        with pytest.raises(CorrectionRegimeError, match=re.escape(message)):
+            raman_correct(records, fit_quadratic(records), config)
+        records_path, config_path = tmp_path / "records.csv", tmp_path / "config.json"
+        write_power_records(records_path, records)
+        config_path.write_text(json.dumps(config_to_dict(config)))
+        assert run(["correct", "--data", str(records_path), "--config", str(config_path),
+                    "--out", str(tmp_path / "corrected.csv")]) == 1
+        assert f"hsps: error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "corrected.csv").exists()
 
     def test_corrected_csv_metadata_records_choice(self, symmetric, tmp_path):
         config, records, fit = self._chain(symmetric, s1=0.05, s2=0.08, pulses=500_000)
@@ -393,3 +417,12 @@ class TestPowerSlope:
     def test_needs_spread(self):
         with pytest.raises(PipelineError):
             power_slope([1.0, 1.0, 1.0], [1, 2, 3], [0.1] * 3)
+
+
+def test_pipeline_imports_no_private_montecarlo_name():
+    # the reduction of tallies to figures lives behind montecarlo.estimate
+    tree = ast.parse(inspect.getsource(pl))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "montecarlo"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
