@@ -33,8 +33,9 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .config import ConfigWarning, SourceConfig
-from .oracle import FrequencyGrid, _both_grids_or_none, _default_grids, make_default_grids
-from .spectral import filter_amplitude, pump_envelope
+from .oracle import (FrequencyGrid, _both_grids_or_none, _default_grids, _model_on_grids,
+                     make_default_grids)
+from .spectral import filter_amplitude
 
 SINGLE_MODE_K_MAX = 1.05
 
@@ -70,10 +71,8 @@ def filtered_jsa(
     """Joint spectral amplitude f_s(w_s) f_i(w_i) phi(w_s, w_i) on the grid,
     normalized to unit Frobenius norm."""
     grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_default_grids(config))
-    ws, wi = grid_s.points(), grid_i.points()
-    fs = filter_amplitude(ws, config.signal_filter)
-    fi = filter_amplitude(wi, config.idler_filter)
-    jsa = fs[:, None] * fi[None, :] * pump_envelope(ws[:, None], wi[None, :], config.pump)
+    fs, fi, phi = _model_on_grids(config, grid_s, grid_i)
+    jsa = fs[:, None] * fi[None, :] * phi
     norm = np.linalg.norm(jsa)
     if norm == 0.0:
         raise ValueError("joint amplitude vanished on the grid")

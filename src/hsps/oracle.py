@@ -19,10 +19,9 @@ Two independent machines live here:
   terms, so that no probability is a difference of numbers close to one.
 
 In ``low_gain`` mode the click engine returns the leading-order count
-probabilities of the same state: its number kernels R R^T and R^T R and the
-pair kernel R, seen through the band amplitudes, are contracted by the same
-function as the quadrature matrices, so the two routes differ only in how
-the kernels are built.  In ``all_order`` mode it returns genuine threshold
+probabilities of the same state from the quadrature oracle's moment
+construction, so the two routes differ only in each band's partner
+integral.  In ``all_order`` mode it returns genuine threshold
 click probabilities, which differ from the count probabilities at
 O(|G|^4) for singles and pairwise coincidences.  Note the triple
 coincidence differs at O(1) relative whenever herald multi-photon events
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigWarning, SourceConfig, normalize
-from .spectral import filter_amplitude, pair_kernel_leading
+from .spectral import envelope_at_detuning, filter_amplitude, pair_kernel_leading, pump_envelope
 from .stats import CountProbabilities, _assemble_counts, full_report
 
 BOUNDARY_LEAK = 1e-8          # truncation warning threshold, relative to the kernel peak
@@ -154,13 +153,10 @@ def _both_grids_or_none(grid_s, grid_i, defaults):
 
 
 def make_click_grids(config: SourceConfig, n_points: int = DEFAULT_CLICK_POINTS):
-    """Grids for the Gaussian click engine.
-
-    Both bands get one common half-width covering the broader filter, so
-    that each band grid also covers the energy-conservation reflection of
-    the other band; the joint squeezed state is then represented without
-    losing squeezing partners of any detected mode.
-    """
+    """Grids for the Gaussian click engine: both bands get one half-width,
+    6.5 widths of the broadest of pump and filters, and n_points points.
+    That does not make each band cover the reflection of a much narrower
+    other band (see gaussian_click_probs)."""
     sp = config.pump.bandwidth_sigma
     hw = 6.5 * max(sp, config.signal_filter.sigma, config.idler_filter.sigma)
     grid_s = FrequencyGrid(config.signal_filter.center_omega, hw, n_points)
@@ -196,59 +192,75 @@ def _boundary_leak(matrix: np.ndarray) -> float:
     return float(np.max(edges)) / peak
 
 
-def _inner_pump_integral(offsets: np.ndarray, sigma_p: float) -> np.ndarray:
-    """I[k,k'] = integral dv phi(x_k + v) phi(x_k' + v) over the conjugate
-    band, by trapezoid on a dedicated grid wide enough to hold the reflected
-    band plus 8 pump widths."""
-    lo = -float(np.max(offsets)) - 8.0 * sigma_p
-    hi = -float(np.min(offsets)) + 8.0 * sigma_p
-    n = max(64, int(np.ceil((hi - lo) / (sigma_p / POINTS_PER_WIDTH))) + 1)
+def _model_on_grids(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
+    """(f_s on grid_s, f_i on grid_i, phi on the grid product): the spectral
+    model on a grid pair, each part evaluated once."""
+    ws, wi = grid_s.points(), grid_i.points()
+    fs = filter_amplitude(ws, config.signal_filter)
+    fi = filter_amplitude(wi, config.idler_filter)
+    return fs, fi, pump_envelope(ws[:, None], wi[None, :], config.pump)
+
+
+def _trapezoid_partner(grid: FrequencyGrid, config: SourceConfig):
+    """A band's partner quadrature: a trapezoid grid wide enough to hold the
+    reflected band plus 8 pump widths, on offsets from the pump carrier."""
+    sp = config.pump.bandwidth_sigma
+    offsets = grid.points() - config.pump.center_omega
+    lo = -float(np.max(offsets)) - 8.0 * sp
+    hi = -float(np.min(offsets)) + 8.0 * sp
+    n = max(64, int(np.ceil((hi - lo) / (sp / POINTS_PER_WIDTH))) + 1)
     nu = np.linspace(lo, hi, n)
-    dnu = nu[1] - nu[0]
-    phy = np.exp(-np.add.outer(offsets, nu) ** 2 / (4.0 * sigma_p**2))
-    weights = np.ones(n)
-    weights[0] = weights[-1] = 0.5
-    return (phy * weights) @ phy.T * dnu
+    weights = np.r_[0.5, np.ones(n - 2), 0.5]
+    return envelope_at_detuning(np.add.outer(offsets, nu), config.pump), weights, nu[1] - nu[0]
+
+
+def _leading_moments(config, grid_s, grid_i, model, partner_s, partner_i):
+    """CorrelationMatrices from one _model_on_grids evaluation.  A partner
+    quadrature is (phi from band points to partner nodes, node weights, node
+    spacing): each number kernel integrates phi(w, v) phi(w', v) over it."""
+    fs, fi, phi = model
+    eta_s = config.signal_channel_transmission
+    eta_i = config.idler_channel_transmission
+    pair = pair_kernel_leading(phi, config.gain, config.pump)
+    cross = np.sqrt(eta_s * eta_i) * fs[:, None] * fi[None, :] * pair
+    # the number kernels run without phi unless a partner holds it (peak memory)
+    del model, phi, pair
+    scale = config.gain.g_squared / config.pump.bandwidth_sigma**2
+
+    def number_kernel(eta, f, partner):
+        envelope, weights, step = partner
+        return eta * scale * np.outer(f, f) * ((envelope * weights) @ envelope.T * step)
+
+    return CorrelationMatrices(
+        auto_signal=number_kernel(eta_s, fs, partner_s),
+        auto_idler=number_kernel(eta_i, fi, partner_i),
+        cross=cross,
+        spacing_s=grid_s.spacing,
+        spacing_i=grid_i.spacing,
+    )
 
 
 def build_correlations(
     config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid
 ) -> CorrelationMatrices:
-    """Assemble the leading-order correlation matrices on the given grids."""
+    """Assemble the leading-order correlation matrices on the given grids,
+    each band's number kernel integrated over its own trapezoid partner grid."""
     sp = config.pump.bandwidth_sigma
     grid_s.check_coverage(max(sp, config.signal_filter.sigma))
     grid_i.check_coverage(max(sp, config.idler_filter.sigma))
-
-    g2 = config.gain.g_squared
-    eta_s = config.signal_channel_transmission
-    eta_i = config.idler_channel_transmission
-
-    ws, wi = grid_s.points(), grid_i.points()
-    fs = filter_amplitude(ws, config.signal_filter)
-    fi = filter_amplitude(wi, config.idler_filter)
-    pair = pair_kernel_leading(ws[:, None], wi[None, :], config.gain, config.pump)
-    cross = np.sqrt(eta_s * eta_i) * fs[:, None] * fi[None, :] * pair
-    # the inner integral runs on offsets from the pump carrier
-    w0 = config.pump.center_omega
-    auto_signal = eta_s * (g2 / sp**2) * np.outer(fs, fs) * _inner_pump_integral(ws - w0, sp)
-    auto_idler = eta_i * (g2 / sp**2) * np.outer(fi, fi) * _inner_pump_integral(wi - w0, sp)
-
-    for name, matrix in (("auto_signal", auto_signal), ("auto_idler", auto_idler), ("cross", cross)):
-        leak = _boundary_leak(matrix)
+    mats = _leading_moments(
+        config, grid_s, grid_i, _model_on_grids(config, grid_s, grid_i),
+        _trapezoid_partner(grid_s, config), _trapezoid_partner(grid_i, config),
+    )
+    for name in ("auto_signal", "auto_idler", "cross"):
+        leak = _boundary_leak(getattr(mats, name))
         if leak > BOUNDARY_LEAK:
             warnings.warn(
                 f"{name} kernel boundary holds {leak:.2e} of the peak: grid too narrow",
                 ConfigWarning,
                 stacklevel=2,
             )
-
-    return CorrelationMatrices(
-        auto_signal=auto_signal,
-        auto_idler=auto_idler,
-        cross=cross,
-        spacing_s=grid_s.spacing,
-        spacing_i=grid_i.spacing,
-    )
+    return mats
 
 
 def _counts_from_matrices(config: SourceConfig, mats: CorrelationMatrices) -> CountProbabilities:
@@ -286,24 +298,17 @@ def numeric_counts(
 # ---------------------------------------------------------------------------
 
 
-def _pair_kernel(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid) -> np.ndarray:
-    """Discretized pair-creation kernel R (no filters: those act as loss)."""
-    pair = pair_kernel_leading(
-        grid_s.points()[:, None], grid_i.points()[None, :], config.gain, config.pump
-    )
-    return pair * np.sqrt(grid_s.spacing * grid_i.spacing)
-
-
-def _band_transmissions(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
-    """Intensity transmissions per mode: (idler to detector 1, signal band to
-    each arm detector, without the coupler split)."""
-    fs2 = filter_amplitude(grid_s.points(), config.signal_filter) ** 2
-    fi2 = filter_amplitude(grid_i.points(), config.idler_filter) ** 2
+def _engine_inputs(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
+    """(R, t1, t2_band, t3_band) for click_probs_from_pair_kernel: the pair
+    kernel times sqrt(h_s h_i), and per mode the intensity transmission to
+    detector 1 (idler) and to each arm detector without the coupler split."""
+    fs, fi, phi = _model_on_grids(config, grid_s, grid_i)
+    R = pair_kernel_leading(phi, config.gain, config.pump)
+    R *= np.sqrt(grid_s.spacing * grid_i.spacing)
     e1, e2, e3 = (d.efficiency for d in config.detectors)
-    t1 = config.idler_channel_transmission * e1 * fi2
-    t2_band = config.signal_channel_transmission * e2 * fs2
-    t3_band = config.signal_channel_transmission * e3 * fs2
-    return t1, t2_band, t3_band
+    t1 = config.idler_channel_transmission * e1 * fi**2
+    eta_s = config.signal_channel_transmission
+    return R, t1, eta_s * e2 * fs**2, eta_s * e3 * fs**2
 
 
 def _log_det_sym(S: np.ndarray) -> float:
@@ -441,33 +446,23 @@ def gaussian_click_probs(
 
     order="all_order": threshold-detector click probabilities, exact in the
     gain for the discretized state.  order="low_gain": leading-order count
-    probabilities through the same state construction, matching
-    :func:`numeric_counts` up to discretization.
+    probabilities from the moments of :func:`build_correlations` with each
+    band's partner integral over the other grid, matching :func:`numeric_counts`.
 
-    Grids from :func:`make_click_grids` guarantee each band covers the
-    reflection of the other; narrower grids silently drop squeezing
-    partners of detected modes.
+    Grids from :func:`make_click_grids` do not guarantee that each band
+    covers the reflection of the other: a narrow filter against a broad one
+    loses squeezing partners of detected modes without a warning (README,
+    ROADMAP item 15).
     """
     grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_click_grids(config))
-    R = _pair_kernel(config, grid_s, grid_i)
     if order == "low_gain":
-        # the state's leading-order moments N_s = R R^T, N_i = R^T R and R
-        # itself, seen through the channel and filter amplitudes; R already
-        # carries the quadrature weights, so both spacings are 1
-        a_s = np.sqrt(config.signal_channel_transmission) * filter_amplitude(
-            grid_s.points(), config.signal_filter)
-        a_i = np.sqrt(config.idler_channel_transmission) * filter_amplitude(
-            grid_i.points(), config.idler_filter)
-        mats = CorrelationMatrices(
-            auto_signal=np.outer(a_s, a_s) * (R @ R.T),
-            auto_idler=np.outer(a_i, a_i) * (R.T @ R),
-            cross=np.outer(a_s, a_i) * R,
-            spacing_s=1.0,
-            spacing_i=1.0,
-        )
+        # each band's partner nodes are the other band's grid, at full weight
+        model = _model_on_grids(config, grid_s, grid_i)
+        partners = (model[2], 1.0, grid_i.spacing), (model[2].T, 1.0, grid_s.spacing)
+        mats = _leading_moments(config, grid_s, grid_i, model, *partners)
         return _counts_from_matrices(config, mats)
     if order == "all_order":
-        return click_probs_from_pair_kernel(R, *_band_transmissions(config, grid_s, grid_i))
+        return click_probs_from_pair_kernel(*_engine_inputs(config, grid_s, grid_i))
     raise ValueError(f"order must be 'low_gain' or 'all_order', got {order!r}")
 
 

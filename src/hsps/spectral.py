@@ -30,7 +30,11 @@ def pump_envelope(omega_s, omega_i, pump: PumpSpec):
     Accepts scalars or broadcastable arrays of angular frequencies (rad/s).
     """
     # offsets from the pump carrier keep the square cancellation-free
-    detuning = (omega_s - pump.center_omega) + (omega_i - pump.center_omega)
+    return envelope_at_detuning((omega_s - pump.center_omega) + (omega_i - pump.center_omega), pump)
+
+
+def envelope_at_detuning(detuning, pump: PumpSpec):
+    """phi of the total carrier detuning (w_s - w_p0) + (w_i - w_p0)."""
     return np.exp(-(detuning**2) / (4.0 * pump.bandwidth_sigma**2))
 
 
@@ -39,11 +43,11 @@ def filter_amplitude(omega, filt: FilterSpec):
     return np.exp(-((omega - filt.center_omega) ** 2) / (2.0 * filt.sigma**2))
 
 
-def pair_kernel_leading(omega_s, omega_i, gain: GainParameter, pump: PumpSpec):
-    """Leading-order pair-creation amplitude (G / sigma_p) * phi.
+def pair_kernel_leading(envelope, gain: GainParameter, pump: PumpSpec):
+    """Leading-order pair-creation amplitude (G / sigma_p) * phi, given phi.
 
     This is the normalization under which the closed-form counting statistics
     hold.  The Gaussian click engine builds its state from the Schmidt
     decomposition of this kernel on frequency grids.
     """
-    return (gain.amplitude / pump.bandwidth_sigma) * pump_envelope(omega_s, omega_i, pump)
+    return (gain.amplitude / pump.bandwidth_sigma) * envelope

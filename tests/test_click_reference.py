@@ -22,9 +22,7 @@ import numpy as np
 import pytest
 
 from hsps.config import make_symmetric_config
-from hsps.oracle import (
-    _band_transmissions, _pair_kernel, click_probs_from_pair_kernel, make_click_grids,
-)
+from hsps.oracle import _engine_inputs, click_probs_from_pair_kernel, make_click_grids
 
 DPS = 60
 POINTS = 32
@@ -54,7 +52,7 @@ def _schmidt(sig_s, sig_i, g2):
     as object arrays of mpf: V, P = R V (column k is lam_k u_k) and lam."""
     config = make_symmetric_config(sig_s, sig_i, g2)
     grids = make_click_grids(config, POINTS)
-    R = _pair_kernel(config, *grids)
+    R = _engine_inputs(config, *grids)[0]
     with mpmath.workdps(DPS):
         r_mp = mpmath.matrix(R.tolist())
         eig, V = mpmath.eigsy(r_mp.T * r_mp)
@@ -67,7 +65,7 @@ def reference_click_probs(sig_s, sig_i, g2, efficiencies):
     """(engine inputs, reference probabilities as mpf) for one config."""
     grids, R, V, P, lam = _schmidt(sig_s, sig_i, g2)
     config = make_symmetric_config(sig_s, sig_i, g2, det_efficiencies=efficiencies)
-    t1, t2b, t3b = _band_transmissions(config, *grids)
+    _, t1, t2b, t3b = _engine_inputs(config, *grids)
     with mpmath.workdps(DPS):
         eye = np.diag(np.full(lam.size, mpmath.mpf(1), dtype=object))
         one = mpmath.mpf(1)

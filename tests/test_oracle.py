@@ -277,8 +277,7 @@ class TestGaussianClickEngine:
         # a loss that is not mirror-symmetric (tilted) sees their signs
         config = symmetric(sig_s, sig_i, 0.02, det_efficiencies=EFF)
         grid_s, grid_i = make_click_grids(config, n)
-        R = oracle._pair_kernel(config, grid_s, grid_i)
-        t1, t2b, t3b = oracle._band_transmissions(config, grid_s, grid_i)
+        R, t1, t2b, t3b = oracle._engine_inputs(config, grid_s, grid_i)
         if tilted:
             t1, t2b = t1 * np.linspace(1.0, 0.5, n), t2b * np.linspace(0.5, 1.0, n)
         assert np.array_equal(R, R.T)
@@ -314,6 +313,28 @@ class TestGaussianClickEngine:
             quad = numeric_counts(config)
             for field in ORACLE_FIELDS:
                 assert rel_err(getattr(state, field), getattr(quad, field)) < 1e-4, field
+
+    def test_low_gain_error_is_its_partner_quadrature(self, symmetric):
+        # the low-gain route integrates each band's number kernel over the
+        # other click grid; numeric_counts on the same click grids builds
+        # the same moments with build_correlations' dedicated trapezoid
+        # partner grid instead.  Worst error against the closed forms over
+        # these configs: 2.6e-7 (at sigma' = (1, 1)) against 4.3e-9
+        low, dedicated = [], []
+        for sig_s, sig_i in [(0.3, 0.3), (1.0, 0.3), (1.0, 1.0), (0.3, 2.0), (2.0, 2.0)]:
+            config = symmetric(sig_s, sig_i, 0.01, det_efficiencies=EFF)
+            analytic, _ = full_report(config)
+            grids = make_click_grids(config)
+            for counts, worst in (
+                (gaussian_click_probs(config, *grids, order="low_gain"), low),
+                (numeric_counts(config, *grids), dedicated),
+            ):
+                worst.append(max(
+                    rel_err(getattr(counts, f), getattr(analytic, f)) for f in ORACLE_FIELDS
+                ))
+        assert max(low) >= 1e-7
+        assert max(dedicated) <= 1e-8
+        assert 10.0 * max(dedicated) <= max(low)
 
     def test_all_order_deviation_scales_as_gain_squared(self, symmetric):
         gains = np.array([1e-4, 1e-3, 1e-2])
@@ -417,8 +438,7 @@ class TestContractionsMatchEinsumReference:
         # unequal point counts keep R non-square, so a transposed band shows
         grid_s = FrequencyGrid(grid_s.band_center, grid_s.half_width, 40)
         counts = gaussian_click_probs(config, grid_s, grid_i, order="low_gain")
-        R = oracle._pair_kernel(config, grid_s, grid_i)
-        t1, t2b, t3b = oracle._band_transmissions(config, grid_s, grid_i)
+        R, t1, t2b, t3b = oracle._engine_inputs(config, grid_s, grid_i)
         t2, t3 = 0.5 * t2b, 0.5 * t3b
         n_s = R @ R.T
         expected = dict(

@@ -171,7 +171,9 @@ class TestBogoliubovKernels:
 
     def test_low_gain_pair_amplitude_convention(self):
         # the closed-form statistics use the (G / sigma_p) phi normalization
-        value = pair_kernel_leading(W0 + SP, W0 - SP, GainParameter(0.04), PUMP)
+        value = pair_kernel_leading(
+            pump_envelope(W0 + SP, W0 - SP, PUMP), GainParameter(0.04), PUMP
+        )
         assert value == pytest.approx(0.2 / SP, rel=1e-12)
 
     def test_rejects_bad_term_count(self):
@@ -240,12 +242,12 @@ class TestSeriesMatchesEngineKernel:
         [(0.3, 2.0, 0.02), (2.0, 0.5, 0.05)],
     )
     def test_svd_kernels_match_series(self, sigma_s, sigma_i, g2):
-        from hsps.oracle import _pair_kernel, make_click_grids
+        from hsps.oracle import _engine_inputs, make_click_grids
 
         config = make_symmetric_config(sigma_s, sigma_i, g2)
         grid_s, grid_i = make_click_grids(config, 128)
         ds, di = grid_s.spacing, grid_i.spacing
-        U, lam, Vt = np.linalg.svd(_pair_kernel(config, grid_s, grid_i))
+        U, lam, Vt = np.linalg.svd(_engine_inputs(config, grid_s, grid_i)[0])
         h2_engine = (U * np.sinh(lam)) @ Vt / math.sqrt(ds * di)
         h1_engine = (U * (np.cosh(lam) - 1.0)) @ U.T / ds
 
