@@ -6,7 +6,8 @@ manifest beside each such file (<output>.manifest.json): the subcommand,
 config path, tool and numpy versions, every option given, the seed (null
 except for mc, the only command that draws random numbers) and what the
 subcommand adds (for mc, the random-number scheme; for oracle and modes, the
-points of the quadrature grids, which are sized from the config; for
+points of the quadrature grids, which are sized from the config, and for
+oracle also each correlation kernel's boundary leak on them; for
 correct, the fitted s1 and s2 and the tallies the Raman correction
 adjusted).  Runs are reproducible from their artifacts alone.
 
@@ -118,23 +119,28 @@ def cmd_sweep(args):
     log.info("contour grid %dx%d written to %s", n, n, args.out)
 
 
-def _quadrature_grid_points(config) -> dict:
-    """The manifest's record of the default grids the run used, [n_s, n_i];
-    their capped-resolution warning was already given by the run itself."""
+def _quadrature_grid_points(config, boundary_leak: bool = False) -> dict:
+    """The manifest's record of the default grids the run used, [n_s, n_i],
+    and with boundary_leak the kernels' boundary-leak ratios on them; the
+    warnings of both were already given by the run itself."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigWarning)
         grids = oracle_mod.make_default_grids(config)
-    return {"quadrature_grid_points": [grid.n_points for grid in grids]}
+        record = {"quadrature_grid_points": [grid.n_points for grid in grids]}
+        if boundary_leak:
+            record["boundary_leak"] = oracle_mod.build_correlations(config, *grids).boundary_leaks()
+    return record
 
 
 def cmd_oracle(args) -> dict:
-    """Returns the manifest's record of the quadrature grids."""
+    """Returns the manifest's record of the quadrature grids and of the
+    boundary leak of each kernel on them."""
     config = load_config(args.config)
     rows = oracle_mod.comparison_rows(config, include_gaussian=True)
     oracle_mod.write_comparison_csv(rows, args.out)
     worst = max(rows, key=lambda r: r["rel_err"])
     log.info("worst relative error %.3e on %s", worst["rel_err"], worst["quantity"])
-    return _quadrature_grid_points(config)
+    return _quadrature_grid_points(config, boundary_leak=True)
 
 
 def cmd_modes(args) -> dict:

@@ -21,7 +21,9 @@ band on its own, with the conjugate band unobserved and unfiltered.  That
 is governed by the band's autocorrelation kernel f(w) f(w') exp(-(w-w')^2 /
 (8 sigma_p^2)), whose eigenvalue participation K_eff fixes the measurable
 autocorrelation through g2 = 1 + 1/K_eff; the closed form is
-g2 = 1 + 1/sqrt(1 + sig'^2/2).  A band is treated as single-mode when its
+g2 = 1 + 1/sqrt(1 + sig'^2/2).  K_eff needs only the kernel's trace and
+Frobenius norm, and on a uniform grid the norm is one convolution, so the
+kernel is never built.  A band is treated as single-mode when its
 K_eff stays at or below 1.05 (SINGLE_MODE_K_MAX), i.e. g2 above 1.95.
 """
 
@@ -108,21 +110,23 @@ def marginal_mode_number(config: SourceConfig, band: str) -> float:
     """Effective mode number of one band's filtered autocorrelation kernel.
 
     band is "signal" or "idler".  K_eff = (sum mu)^2 / sum(mu^2) over the
-    kernel eigenvalues; it depends only on this band's filter and the pump,
+    eigenvalues of the kernel k = f(w) f(w') g(w - w'), g(d) = exp(-d^2 /
+    (8 sigma_p^2)); it depends only on this band's filter and the pump,
     not on the conjugate filter, and satisfies 1 + 1/K_eff = g2(band)
     to ~1e-13 on the band's grid from make_default_grids, which is sized
     from the narrower of the pump and this filter; only that grid is built.
+    The kernel itself is not: sum mu is its trace, sum f^2, and sum mu^2
+    its squared Frobenius norm, f^2 . (g^2 * f^2), one convolution of the
+    squared filter with g^2 at the 2n - 1 lags of the uniform grid.
     """
     if band not in ("signal", "idler"):
         raise ValueError(f"band must be 'signal' or 'idler', got {band!r}")
     (grid,) = _default_grids(config, (band,))
-    w = grid.points()
-    f = filter_amplitude(w, config.signal_filter if band == "signal" else config.idler_filter)
-    kernel = np.outer(f, f) * np.exp(
-        -np.subtract.outer(w, w) ** 2 / (8.0 * config.pump.bandwidth_sigma**2)
-    )
-    # for the symmetric kernel, sum mu = trace and sum mu^2 = squared Frobenius norm
-    return float(np.trace(kernel) ** 2 / np.sum(kernel * kernel))
+    filt = config.signal_filter if band == "signal" else config.idler_filter
+    f2 = filter_amplitude(grid.points(), filt) ** 2
+    lags = np.arange(1 - grid.n_points, grid.n_points) * grid.spacing
+    g2 = np.exp(-(lags**2) / (4.0 * config.pump.bandwidth_sigma**2))
+    return float(np.sum(f2) ** 2 / (f2 @ np.convolve(g2, f2, mode="valid")))
 
 
 def mode_report(config: SourceConfig) -> ModeReport:

@@ -5,7 +5,10 @@ Two independent machines live here:
 * a quadrature oracle (:func:`build_correlations`, :func:`numeric_counts`)
   that discretizes the second-order correlation kernels of the two bands on
   frequency grids and evaluates every count probability as a Gaussian-moment
-  contraction of those matrices, with all integrals done numerically;
+  contraction of them, with all integrals done numerically.  Each band's
+  number kernel a = L L^T is kept as its factor L over the band's partner
+  nodes, so the counts are squared norms of L, of the Gram matrix L^T L
+  and of L^T times the cross kernel: no n x n number kernel is built;
 
 * a Gaussian-state click engine (:func:`gaussian_click_probs`) that takes
   the Schmidt decomposition of the discretized pair kernel (one symmetric
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -70,6 +74,10 @@ class FrequencyGrid:
     n_points: int
 
     def __post_init__(self):
+        if isinstance(self.n_points, bool) or not isinstance(self.n_points, numbers.Integral):
+            raise ValueError(f"n_points must be an integer, got {self.n_points!r}")
+        if not (math.isfinite(self.band_center) and math.isfinite(self.half_width)):
+            raise ValueError("band_center and half_width must be finite")
         if self.n_points < 32:
             raise ValueError(f"n_points must be >= 32, got {self.n_points}")
         if self.half_width <= 0:
@@ -168,28 +176,53 @@ def make_click_grids(config: SourceConfig, n_points: int = DEFAULT_CLICK_POINTS)
 class CorrelationMatrices:
     """Discretized second-order moments of the filtered two-band state.
 
-    auto_signal / auto_idler are the (real symmetric, PSD) number kernels of
-    each band including channel transmission and filter amplitudes; cross is
-    the pair-creation kernel between the bands.  The phase-insensitive
-    cross-band correlation vanishes identically and is not stored.
-    Detector efficiencies and the coupler split are not folded in here.
+    Each band's number kernel a = L L^T (real symmetric, PSD, including
+    channel transmission and filter amplitudes) is stored as its factor L:
+    signal_factor is n_s x m_s and idler_factor n_i x m_i, one column per
+    node of the band's partner quadrature, weighted by the square root of
+    the node's weight.  The counts read only norms of the factors, so the
+    dense kernels auto_signal / auto_idler are built only when asked for.
+    cross is the pair-creation kernel between the bands.  The
+    phase-insensitive cross-band correlation vanishes identically and is
+    not stored.  Detector efficiencies and the coupler split are not folded
+    in here.
     """
 
-    auto_signal: np.ndarray
-    auto_idler: np.ndarray
+    signal_factor: np.ndarray
+    idler_factor: np.ndarray
     cross: np.ndarray
     spacing_s: float
     spacing_i: float
 
+    @property
+    def auto_signal(self) -> np.ndarray:
+        return self.signal_factor @ self.signal_factor.T
 
-def _boundary_leak(matrix: np.ndarray) -> float:
-    peak = float(np.max(np.abs(matrix)))
-    if peak == 0.0:
-        return 0.0
-    edges = np.concatenate(
-        [np.abs(matrix[0, :]), np.abs(matrix[-1, :]), np.abs(matrix[:, 0]), np.abs(matrix[:, -1])]
-    )
-    return float(np.max(edges)) / peak
+    @property
+    def auto_idler(self) -> np.ndarray:
+        return self.idler_factor @ self.idler_factor.T
+
+    def boundary_leaks(self) -> dict[str, float]:
+        """{auto_signal, auto_idler, cross}: each kernel's largest entry on
+        its first or last row or column, relative to its largest entry.
+        A number kernel L L^T is PSD, so it peaks on its diagonal (the row
+        norms of L), and symmetric, so its edge columns are its edge rows:
+        its ratio needs only those, not the kernel."""
+
+        def factor_leak(factor):
+            peak = float(np.max(np.einsum("ij,ij->i", factor, factor)))
+            if peak == 0.0:
+                return 0.0
+            return float(np.max(np.abs(factor[[0, -1]] @ factor.T))) / peak
+
+        c = np.abs(self.cross)
+        peak = float(np.max(c))
+        edges = max(np.max(c[[0, -1], :]), np.max(c[:, [0, -1]]))
+        return {
+            "auto_signal": factor_leak(self.signal_factor),
+            "auto_idler": factor_leak(self.idler_factor),
+            "cross": float(edges) / peak if peak != 0.0 else 0.0,
+        }
 
 
 def _model_on_grids(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
@@ -217,23 +250,26 @@ def _trapezoid_partner(grid: FrequencyGrid, config: SourceConfig):
 def _leading_moments(config, grid_s, grid_i, model, partner_s, partner_i):
     """CorrelationMatrices from one _model_on_grids evaluation.  A partner
     quadrature is (phi from band points to partner nodes, node weights, node
-    spacing): each number kernel integrates phi(w, v) phi(w', v) over it."""
+    spacing): each number kernel integrates phi(w, v) phi(w', v) over it,
+    so its factor is sqrt(eta |G|^2 / sigma_p^2 step weight) f phi."""
     fs, fi, phi = model
     eta_s = config.signal_channel_transmission
     eta_i = config.idler_channel_transmission
     pair = pair_kernel_leading(phi, config.gain, config.pump)
     cross = np.sqrt(eta_s * eta_i) * fs[:, None] * fi[None, :] * pair
-    # the number kernels run without phi unless a partner holds it (peak memory)
+    # the factors run without phi unless a partner holds it (peak memory)
     del model, phi, pair
     scale = config.gain.g_squared / config.pump.bandwidth_sigma**2
 
-    def number_kernel(eta, f, partner):
+    def number_factor(eta, f, partner):
         envelope, weights, step = partner
-        return eta * scale * np.outer(f, f) * ((envelope * weights) @ envelope.T * step)
+        factor = f[:, None] * envelope
+        factor *= np.sqrt(eta * scale * step * weights)
+        return factor
 
     return CorrelationMatrices(
-        auto_signal=number_kernel(eta_s, fs, partner_s),
-        auto_idler=number_kernel(eta_i, fi, partner_i),
+        signal_factor=number_factor(eta_s, fs, partner_s),
+        idler_factor=number_factor(eta_i, fi, partner_i),
         cross=cross,
         spacing_s=grid_s.spacing,
         spacing_i=grid_i.spacing,
@@ -252,8 +288,7 @@ def build_correlations(
         config, grid_s, grid_i, _model_on_grids(config, grid_s, grid_i),
         _trapezoid_partner(grid_s, config), _trapezoid_partner(grid_i, config),
     )
-    for name in ("auto_signal", "auto_idler", "cross"):
-        leak = _boundary_leak(getattr(mats, name))
+    for name, leak in mats.boundary_leaks().items():
         if leak > BOUNDARY_LEAK:
             warnings.warn(
                 f"{name} kernel boundary holds {leak:.2e} of the peak: grid too narrow",
@@ -266,20 +301,29 @@ def build_correlations(
 def _counts_from_matrices(config: SourceConfig, mats: CorrelationMatrices) -> CountProbabilities:
     e1, e2, e3 = (d.efficiency for d in config.detectors)
     ds, di = mats.spacing_s, mats.spacing_i
-    a_s, a_i, c = mats.auto_signal, mats.auto_idler, mats.cross
+    l_s, c = mats.signal_factor, mats.cross
 
-    p1 = e1 * float(np.trace(a_i)) * di
-    p2 = 0.5 * e2 * float(np.trace(a_s)) * ds
-    p3 = 0.5 * e3 * float(np.trace(a_s)) * ds
+    def norm_sq(x):
+        # squared Frobenius norm without a squared temporary
+        flat = x.ravel(order="K")
+        return float(np.vdot(flat, flat))
 
-    cross_sq = float(np.sum(c * c)) * ds * di
+    # trace(L L^T) = |L|^2
+    trace_s = norm_sq(l_s)
+    p1 = e1 * norm_sq(mats.idler_factor) * di
+    p2 = 0.5 * e2 * trace_s * ds
+    p3 = 0.5 * e3 * trace_s * ds
+
+    cross_sq = norm_sq(c) * ds * di
     t12 = 0.5 * e1 * e2 * cross_sq
     t13 = 0.5 * e1 * e3 * cross_sq
 
-    bunch23 = 0.25 * e2 * e3 * float(np.sum(a_s * a_s)) * ds * ds
+    # |L L^T|^2 = |L^T L|^2: the Gram matrix of the shorter side
+    gram = l_s.T @ l_s if l_s.shape[1] <= l_s.shape[0] else l_s @ l_s.T
+    bunch23 = 0.25 * e2 * e3 * norm_sq(gram) * ds * ds
     # triple contraction sum_klm c_kl c_ml a_s[k, m] of the cross kernel
-    # with the signal number kernel
-    w4 = 0.5 * e1 * e2 * e3 * float(np.sum((c @ c.T) * a_s)) * ds * ds * di
+    # with the signal number kernel, = |L^T c|^2
+    w4 = 0.5 * e1 * e2 * e3 * norm_sq(l_s.T @ c) * ds * ds * di
     return _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4)
 
 
@@ -351,12 +395,12 @@ def click_probs_from_pair_kernel(
     t1 = np.atleast_1d(np.asarray(t1, dtype=float))
     t2_band = np.atleast_1d(np.asarray(t2_band, dtype=float))
     t3_band = np.atleast_1d(np.asarray(t3_band, dtype=float))
-    if R.shape[0] == R.shape[1] and np.array_equal(R, R.T):
+    symmetric = R.shape[0] == R.shape[1] and np.array_equal(R, R.T)
+    if symmetric:
         # the eigh route of the docstring, in descending lam
         w, Q = np.linalg.eigh(R)
         order = np.argsort(-np.abs(w), kind="stable")
-        w, U = w[order], Q[:, order]
-        lam, V = np.abs(w), U * np.sign(w)
+        lam = np.abs(w[order])
     else:
         U, lam, Vt = np.linalg.svd(R, full_matrices=False)
         V = Vt.T
@@ -368,7 +412,13 @@ def click_probs_from_pair_kernel(
             f"leading Schmidt pair sinh^2 overflows (lambda = {lam[0]:.4g}): gain too high"
         )
     keep = n > SCHMIDT_CUTOFF * n[0]
-    U, V, lam, n = U[:, keep], V[:, keep], lam[keep], n[keep]
+    if symmetric:
+        kept = order[keep]
+        U = Q[:, kept]
+        V = U * np.sign(w[kept])
+    else:
+        U, V = U[:, keep], V[:, keep]
+    lam, n = lam[keep], n[keep]
     c = np.sinh(lam) * np.cosh(lam)
 
     # each pair is a two-mode squeezer with x covariance [[n + 1/2, c], [c, n + 1/2]]

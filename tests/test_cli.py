@@ -7,6 +7,7 @@ import pytest
 from hsps.cli import build_parser, run
 from hsps.config import config_to_dict, make_symmetric_config
 from hsps.montecarlo import RNG_SCHEME
+from hsps.oracle import BOUNDARY_LEAK
 from hsps import pipeline as pl
 
 
@@ -127,6 +128,34 @@ class TestOneSidecar:
             # (52 points per band at sigma' = 1) and record them
             grid_points = [52, 52] if argv[0] in ("oracle", "modes") else None
             assert manifest.get("quadrature_grid_points") == grid_points
+            # oracle also records each kernel's boundary leak on those grids
+            leaks = manifest.get("boundary_leak")
+            if argv[0] == "oracle":
+                assert sorted(leaks) == ["auto_idler", "auto_signal", "cross"]
+            else:
+                assert leaks is None
+
+
+class TestOracleManifestBoundaryLeak:
+    """The oracle's truncation diagnostics as numbers: demo.json's bands sit
+    on filter centres 11.2 pump widths off energy conservation, so its cross
+    kernel reaches the grid edge (the warning reads 7.40e-06); the matched
+    symmetric.json stays below the warning threshold on every kernel."""
+
+    def _leaks(self, name, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert run(["oracle", "--config", f"configs/{name}", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
+        return manifest["boundary_leak"]
+
+    def test_demo_cross_kernel_leaks(self, tmp_path):
+        leaks = self._leaks("demo.json", tmp_path)
+        assert f"{leaks['cross']:.2e}" == "7.40e-06"
+        assert leaks["auto_signal"] < BOUNDARY_LEAK and leaks["auto_idler"] < BOUNDARY_LEAK
+
+    def test_symmetric_stays_below_threshold(self, tmp_path):
+        leaks = self._leaks("symmetric.json", tmp_path)
+        assert all(0.0 < leak < BOUNDARY_LEAK for leak in leaks.values()), leaks
 
 
 class TestUsageErrors:

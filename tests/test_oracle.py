@@ -45,6 +45,21 @@ class TestFrequencyGrid:
         with pytest.warns(ConfigWarning, match="truncation"):
             grid.check_coverage(1.0)
 
+    @pytest.mark.parametrize("center, half_width", [
+        (1.0, float("nan")), (1.0, float("inf")), (float("inf"), 1.0), (float("nan"), 1.0),
+    ])
+    def test_rejects_non_finite_extent(self, center, half_width):
+        with pytest.raises(ValueError, match="finite"):
+            FrequencyGrid(center, half_width, 64)
+
+    @pytest.mark.parametrize("n_points", [40.7, 64.0, True])
+    def test_rejects_non_integer_points(self, n_points):
+        with pytest.raises(ValueError, match="integer"):
+            FrequencyGrid(1.0, 2.0, n_points)
+
+    def test_accepts_numpy_integer_points(self):
+        assert FrequencyGrid(1.0, 2.0, np.int64(40)).points().size == 40
+
     def test_points_and_spacing(self):
         grid = FrequencyGrid(100.0, 6.0, 33)
         pts = grid.points()
@@ -118,6 +133,25 @@ class TestCorrelationMatrices:
         counts, _ = full_report(config)
         p1 = config.detectors[0].efficiency * np.trace(mats.auto_idler) * mats.spacing_i
         assert rel_err(p1, counts.p1) < 1e-8
+
+    @pytest.mark.parametrize("sig_s, sig_i", [(1.0, 1.0), (0.3, 2.0), (2.0, 0.3)])
+    def test_boundary_leaks_match_the_dense_kernels(self, symmetric, sig_s, sig_i):
+        # the factor route reads the diagonal and two edge rows; the dense
+        # reference takes the largest edge entry over all four edges
+        config = symmetric(sig_s, sig_i, 0.01, det_efficiencies=EFF)
+        sp = config.pump.bandwidth_sigma
+        grids = [FrequencyGrid(g.band_center, 3.0 * sp, 64) for g in make_default_grids(config)]
+        mats = build_correlations(config, *grids)
+
+        def dense_leak(matrix):
+            edges = np.concatenate([matrix[0], matrix[-1], matrix[:, 0], matrix[:, -1]])
+            return np.max(np.abs(edges)) / np.max(np.abs(matrix))
+
+        leaks = mats.boundary_leaks()
+        assert max(leaks.values()) > oracle.BOUNDARY_LEAK  # the grids truncate
+        for name in ("auto_signal", "auto_idler", "cross"):
+            expected = dense_leak(getattr(mats, name))
+            assert leaks[name] == pytest.approx(expected, rel=1e-12), name
 
     def test_narrow_grid_warns(self, symmetric):
         config = symmetric(1.0, 1.0, 0.01)
@@ -404,22 +438,51 @@ class TestContractionsMatchEinsumReference:
     a 40 x 32 click grid."""
 
     def test_quadrature_contraction(self, symmetric):
+        # non-square factors with more partner nodes than points (signal)
+        # and fewer (idler), so both Gram sides are exercised
         rng = np.random.default_rng(5)
         c = 0.1 * rng.standard_normal((7, 4))
-        a_s = 0.1 * rng.standard_normal((7, 7))
-        a_s = a_s @ a_s.T
-        a_i = 0.1 * rng.standard_normal((4, 4))
-        a_i = a_i @ a_i.T
+        l_s = 0.1 * rng.standard_normal((7, 11))
+        l_i = 0.1 * rng.standard_normal((4, 3))
+        a_i = l_i @ l_i.T
         ds, di = 0.3, 0.2
-        mats = oracle.CorrelationMatrices(a_s, a_i, c, spacing_s=ds, spacing_i=di)
-        counts = oracle._counts_from_matrices(symmetric(det_efficiencies=EFF), mats)
+        e1, e2, e3 = EFF
+        for factor in (l_s, l_s[:, :5]):
+            a_s = factor @ factor.T
+            mats = oracle.CorrelationMatrices(factor, l_i, c, spacing_s=ds, spacing_i=di)
+            counts = oracle._counts_from_matrices(symmetric(det_efficiencies=EFF), mats)
+            p1 = e1 * np.trace(a_i) * di
+            p2 = 0.5 * e2 * np.trace(a_s) * ds
+            p3 = 0.5 * e3 * np.trace(a_s) * ds
+            cross_sq = np.sum(c * c) * ds * di
+            bunch23 = 0.25 * e2 * e3 * np.sum(a_s * a_s) * ds * ds
+            w4 = 0.5 * e1 * e2 * e3 * np.einsum("kl,ml,km->", c, c, a_s) * ds * ds * di
+            expected = dict(
+                p1=p1, p2=p2, p3=p3,
+                p12=p1 * p2 + 0.5 * e1 * e2 * cross_sq,
+                p13=p1 * p3 + 0.5 * e1 * e3 * cross_sq,
+                p23=p2 * p3 + bunch23,
+                p123_bunching=p1 * bunch23 + w4,
+            )
+            for field, value in expected.items():
+                assert getattr(counts, field) == pytest.approx(value, rel=1e-12, abs=0), field
+
+    @pytest.mark.parametrize("sig_s, sig_i", [(1.0, 1.0), (0.3, 2.0)])
+    def test_numeric_counts_match_dense_kernels(self, symmetric, sig_s, sig_i):
+        # the factor norms against the dense contraction of the kernels
+        # build_correlations itself assembles
+        config = symmetric(sig_s, sig_i, 0.01, det_efficiencies=EFF)
+        grid_s, grid_i = make_default_grids(config)
+        mats = build_correlations(config, grid_s, grid_i)
+        a_s, a_i, c = mats.auto_signal, mats.auto_idler, mats.cross
+        ds, di = mats.spacing_s, mats.spacing_i
         e1, e2, e3 = EFF
         p1 = e1 * np.trace(a_i) * di
         p2 = 0.5 * e2 * np.trace(a_s) * ds
         p3 = 0.5 * e3 * np.trace(a_s) * ds
         cross_sq = np.sum(c * c) * ds * di
         bunch23 = 0.25 * e2 * e3 * np.sum(a_s * a_s) * ds * ds
-        w4 = 0.5 * e1 * e2 * e3 * np.einsum("kl,ml,km->", c, c, a_s) * ds * ds * di
+        w4 = 0.5 * e1 * e2 * e3 * np.sum((c @ c.T) * a_s) * ds * ds * di
         expected = dict(
             p1=p1, p2=p2, p3=p3,
             p12=p1 * p2 + 0.5 * e1 * e2 * cross_sq,
@@ -427,8 +490,9 @@ class TestContractionsMatchEinsumReference:
             p23=p2 * p3 + bunch23,
             p123_bunching=p1 * bunch23 + w4,
         )
+        counts = numeric_counts(config, grid_s, grid_i)
         for field, value in expected.items():
-            assert getattr(counts, field) == pytest.approx(value, rel=1e-12, abs=0), field
+            assert getattr(counts, field) == pytest.approx(value, rel=1e-13, abs=0), field
 
     def test_low_gain_contraction(self, symmetric):
         config = symmetric(
