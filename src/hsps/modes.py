@@ -125,8 +125,8 @@ def marginal_mode_number(config: SourceConfig, band: str) -> float:
     filt = config.signal_filter if band == "signal" else config.idler_filter
     f2 = filter_amplitude(grid.points(), filt) ** 2
     lags = np.arange(1 - grid.n_points, grid.n_points) * grid.spacing
-    g2 = np.exp(-(lags**2) / (4.0 * config.pump.bandwidth_sigma**2))
-    return float(np.sum(f2) ** 2 / (f2 @ np.convolve(g2, f2, mode="valid")))
+    g_sq = np.exp(-(lags**2) / (4.0 * config.pump.bandwidth_sigma**2))
+    return float(np.sum(f2) ** 2 / (f2 @ np.convolve(g_sq, f2, mode="valid")))
 
 
 def mode_report(config: SourceConfig) -> ModeReport:

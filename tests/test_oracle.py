@@ -137,10 +137,12 @@ class TestCorrelationMatrices:
     @pytest.mark.parametrize("sig_s, sig_i", [(1.0, 1.0), (0.3, 2.0), (2.0, 0.3)])
     def test_boundary_leaks_match_the_dense_kernels(self, symmetric, sig_s, sig_i):
         # the factor route reads the diagonal and two edge rows; the dense
-        # reference takes the largest edge entry over all four edges
+        # reference takes the largest edge entry over all four edges.  The
+        # grids are narrow and off-centre, so the two edges leak unequally
         config = symmetric(sig_s, sig_i, 0.01, det_efficiencies=EFF)
         sp = config.pump.bandwidth_sigma
-        grids = [FrequencyGrid(g.band_center, 3.0 * sp, 64) for g in make_default_grids(config)]
+        grids = [FrequencyGrid(g.band_center + shift * sp, 3.0 * sp, 64)
+                 for g, shift in zip(make_default_grids(config), (0.5, -1.0))]
         mats = build_correlations(config, *grids)
 
         def dense_leak(matrix):
