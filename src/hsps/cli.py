@@ -13,7 +13,8 @@ adjusted).  Runs are reproducible from their artifacts alone.
 
 Exit codes: 0 success (--help and --version too), 1 validation, input or
 usage error (a missing required option, an unknown flag), 2 model-validity
-error (a probability left [0, 1], the low-gain closed forms do not apply).
+error (a probability left [0, 1], the low-gain closed forms do not apply,
+a count set admits no joint click distribution).
 
 Set HSPS_LOG=debug for verbose progress on stderr.
 """

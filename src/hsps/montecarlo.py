@@ -42,14 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SourceConfig, normalize, with_gain
-from .stats import _SQRT2_PI, CountProbabilities, full_report
+from .config import ModelValidityError, SourceConfig, normalize, with_gain
+from .stats import _SQRT2_PI, CountProbabilities, _figures, _herald_norm, full_report
 
 DEFAULT_CHUNK = 1 << 20
 RNG_SCHEME = "philox-chunk-runs-v4"
 
 
-class ModelInconsistencyError(ValueError):
+class ModelInconsistencyError(ModelValidityError):
     """The supplied count probabilities admit no joint click distribution."""
 
 
@@ -63,7 +63,7 @@ class TallyCounters:
     with the adjacent earlier gate of the partner detector (a vetoed gate
     contributes no click), so the coincidence and accidental rates see the
     same dead-time thinning and their ratio stays unbiased.  The fields are
-    counts, or floats in :func:`model_predictions`' expected tallies."""
+    counts; :func:`hsps.stats._figures` is the one definition of the figures."""
 
     gates: int
     singles_1: int = 0
@@ -251,21 +251,14 @@ def _joint_probs(p: np.ndarray) -> dict:
     return {"p" + name: p[idx].sum().item() for name, idx in _SUBSET_PATTERNS.items()}
 
 
-def _herald_norm(config: SourceConfig) -> float:
-    """Detection efficiency of signal arm 2, coupler split included: H = eta_D / it."""
-    norm = 0.5 * config.signal_channel_transmission * config.detectors[1].efficiency
-    if norm <= 0:
-        raise EstimationError("signal-channel detection efficiency is zero")
-    return norm
-
-
 def model_predictions(model: PulseModel, config: SourceConfig) -> dict:
     """Exact expectation values of the tally-based estimators, dark counts
-    and Raman included, assuming no dead-time thinning: :func:`estimate` on
-    the expected tallies of one gate, accidentals p1 * p2 and p1 * p3."""
+    and Raman included, assuming no dead-time thinning: :func:`_figures` of
+    the joint click probabilities, accidentals p1 * p2; None for a zero denominator."""
     j = _joint_probs(effective_pattern_probs(model))
-    figures = estimate(_tallies(1, j, j["p1"] * j["p2"], j["p1"] * j["p3"]), config)
-    return {name: r.value for name, r in vars(figures).items()} | {"joint": j}
+    figures = _figures(j["p1"], j["p12"], j["p13"], j["p1"] * j["p2"], j["p123"],
+                       _herald_norm(config))
+    return dict(zip(("car", "g_c2", "eta_d", "h"), figures)) | {"joint": j}
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +504,9 @@ def simulate(
         if progress is not None:
             progress((start + size) * model.gate_divisor, n_pulses)
 
-    return _tallies(n_gates, _joint_probs(pattern_counts), a12, a13)
-
-
-def _tallies(gates, j: dict, acc_12, acc_13) -> TallyCounters:
-    """Tallies from the subset sums j of :func:`_joint_probs` and the accidentals."""
-    return TallyCounters(gates, j["p1"], j["p2"], j["p3"], j["p12"], j["p13"], j["p23"],
-                         acc_12, acc_13, j["p123"])
+    j = _joint_probs(pattern_counts)
+    return TallyCounters(n_gates, j["p1"], j["p2"], j["p3"], j["p12"], j["p13"], j["p23"],
+                         a12, a13, j["p123"])
 
 
 def estimate(tallies: TallyCounters, config: SourceConfig, *, beta: float = 0.0,
@@ -525,11 +514,11 @@ def estimate(tallies: TallyCounters, config: SourceConfig, *, beta: float = 0.0,
     """CAR, heralded g2, heralding efficiency and conditional detection
     efficiency from tallies, with delta-method standard errors.
 
-    The estimators mirror the experimental reduction: CAR is the same-slot
-    to adjacent-slot coincidence ratio, the heralded g2 is
-    triples * singles_1 / (coinc_13 * coinc_12), and H divides the true
-    coincidence rate by the herald singles and by the signal-channel
-    detection efficiency (coupler split included).
+    The values are :func:`_figures` of the tallies, as in the experimental
+    reduction: CAR is the same-slot to adjacent-slot coincidence ratio, the
+    heralded g2 is triples * singles_1 / (coinc_13 * coinc_12), and H
+    divides the true coincidence rate by the herald singles and by the
+    signal-channel detection efficiency (coupler split included).
 
     beta, the fitted Raman counts per gate in the herald band (variance
     var_beta), is subtracted first: beta * gates from singles_1 and beta
@@ -550,6 +539,8 @@ def estimate(tallies: TallyCounters, config: SourceConfig, *, beta: float = 0.0,
     if t.singles_1 == 0 or t.coinc_12 == 0 or t.coinc_13 == 0:
         raise EstimationError("zero counts in an estimator denominator; increase n_pulses")
     herald_norm = _herald_norm(config)
+    if herald_norm <= 0:
+        raise EstimationError("signal-channel detection efficiency is zero")
 
     n1 = t.singles_1 - beta * t.gates
     if n1 <= 0:
@@ -567,25 +558,20 @@ def estimate(tallies: TallyCounters, config: SourceConfig, *, beta: float = 0.0,
         raise EstimationError("Raman subtraction exhausts the coincidences")
     v_t123 = max(v_t123, 1.0)
 
-    car = c12 / a12
+    car, g2, eta_d, h = _figures(n1, c12, c13, a12, t123, herald_norm)
     car_se = car * math.sqrt(v_c12 / c12**2 + v_a12 / a12**2)
-
-    g2 = t123 * n1 / (c13 * c12)
     g2_se = math.sqrt(
         v_t123 * (n1 / (c13 * c12)) ** 2
         + g2**2 * (v_n1 / n1**2 + v_c12 / c12**2 + v_c13 / c13**2)
     )
-
-    true_cc = c12 - a12
-    eta_d = true_cc / n1
     eta_d_se = math.sqrt(v_c12 + v_a12 + eta_d**2 * v_n1) / n1
 
     # a whole count for tallies and after Raman subtraction alike (the
     # Raman terms of c12 and a12 cancel), so round off the float error
-    n_true = max(round(true_cc), 0)
+    n_true = max(round(c12 - a12), 0)
     return Estimates(
         car=EstimatorResult(car, car_se, int(a12)),
         g_c2=EstimatorResult(g2, g2_se, max(int(t123), 0)),
-        h=EstimatorResult(eta_d / herald_norm, eta_d_se / herald_norm, n_true),
+        h=EstimatorResult(h, eta_d_se / herald_norm, n_true),
         eta_d=EstimatorResult(eta_d, eta_d_se, n_true),
     )

@@ -29,7 +29,8 @@ configuration: it takes xi and g_s2 from :func:`collection_efficiency` and
 bandwidths), computes the singles and xi' itself, and hands the true pair
 terms, the band bunching and the two-pair term to :func:`_assemble_counts`,
 which the leading-order oracles share.  Its :class:`CountProbabilities`
-rejects any value outside [0, 1] with ModelValidityError.  Dark counts are
+rejects any value outside [0, 1] with ModelValidityError.  :func:`_figures`
+is the one definition of the figures as ratios of counts or tallies.  Dark counts are
 deliberately absent from these formulas; they belong to the Monte Carlo
 model and the experimental correction chain.
 """
@@ -115,6 +116,21 @@ def _assemble_counts(p1, p2, p3, t12, t13, bunch23, w4) -> CountProbabilities:
     )
 
 
+def _figures(n1, c12, c13, a12, t123, herald_norm):
+    """(CAR, heralded g2, eta_D, H) from herald singles n1, coincidences c12
+    and c13, 1-2 accidentals a12, triples t123 and H's norm eta_s eta_2 / 2,
+    for expected counts and tallies alike; None where a denominator is 0."""
+    eta_d = (c12 - a12) / n1 if n1 > 0 else None
+    return (c12 / a12 if a12 > 0 else None,
+            t123 * n1 / (c13 * c12) if c13 * c12 > 0 else None, eta_d,
+            eta_d / herald_norm if n1 > 0 and herald_norm > 0 else None)
+
+
+def _herald_norm(config: SourceConfig) -> float:
+    """Detection efficiency of signal arm 2, coupler split included: H = eta_D / it."""
+    return 0.5 * config.signal_channel_transmission * config.detectors[1].efficiency
+
+
 def collection_efficiency(sig_s, sig_i):
     """xi, probability that the partner of a collected idler photon falls
     inside the signal filter: sig_s / sqrt(2 + sig_i^2 + sig_s^2)."""
@@ -159,11 +175,12 @@ def pair_rate(p1: float, eta_i: float, eta_1: float, xi: float) -> float:
 def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMerit]:
     """Evaluate every closed form for one configuration.
 
-    Consistency guaranteed by construction: car equals p12 / (p1 p2), the
-    g2 values come from the same count set, and the p123 term decomposition
-    sums to p123.  A probability outside [0, 1] raises ModelValidityError.
-    CAR, the two heralded g2 values and p_pair are None (JSON null) where
-    their denominator is zero, as at zero gain or detector efficiency 0.
+    Consistency guaranteed by construction: car and g_c2_exact are
+    :func:`_figures` of the count set, and the p123 term decomposition sums
+    to p123.  A probability outside [0, 1] raises ModelValidityError.  CAR,
+    the two heralded g2 values and p_pair are None (JSON null) where their
+    denominator is zero, as at zero gain or detector efficiency 0; eta_d and
+    heralding_eff stay closed forms, defined there too.
     """
     bands = normalize(config)
     sig_s, sig_i = bands.sigma_s_prime, bands.sigma_i_prime
@@ -171,6 +188,7 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
     eta_s = config.signal_channel_transmission
     eta_i = config.idler_channel_transmission
     eta_1, eta_2, eta_3 = (d.efficiency for d in config.detectors)
+    herald_norm = _herald_norm(config)
 
     p1 = _SQRT2_PI * g2 * eta_i * eta_1 * sig_i
     p2 = _PI_OVER_SQRT2 * g2 * eta_s * eta_2 * sig_s
@@ -195,14 +213,14 @@ def full_report(config: SourceConfig) -> tuple[CountProbabilities, FiguresOfMeri
         w4=(g_s2 - 1.0) * xi2 * (eta_s * p1 * (eta_3 * p2 + eta_2 * p3) / 2.0),
     )
 
-    car_value = counts.p12 / (p1 * p2) if p1 * p2 > 0 else None
-    triple_norm = counts.p13 * counts.p12
+    car_value, g_c2 = _figures(p1, counts.p12, counts.p13, counts.p12_acc, counts.p123,
+                               herald_norm)[:2]
     figures = FiguresOfMerit(
         car=car_value,
         g_s2=g_s2,
-        g_c2_exact=counts.p123 * p1 / triple_norm if triple_norm > 0 else None,
+        g_c2_exact=g_c2,
         g_c2_approx=None if car_value is None else heralded_g2_approx(g_s2, car_value),
-        eta_d=0.5 * eta_s * eta_2 * xi,
+        eta_d=herald_norm * xi,
         heralding_eff=xi,
         p_pair=pair_rate(p1, eta_i, eta_1, xi) if eta_i * eta_1 > 0 else None,
     )

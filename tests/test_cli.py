@@ -295,6 +295,57 @@ class TestMc:
         assert run(["mc", "--config", config_path, "--pulses", "1000",
                     "--raman", "nope", "--out", str(tmp_path / "x.json")]) == 1
 
+    def test_count_set_without_click_distribution_exits_2(self, tmp_path, capsys):
+        # so efficient a herald path leaves the closed-form count set with no
+        # joint click distribution: a model-validity failure, though the
+        # closed forms themselves stay probabilities and report exits 0
+        config = make_symmetric_config(1, 1, 0.04, det_efficiencies=(0.97, 0.9, 0.9))
+        path = tmp_path / "inconsistent.json"
+        path.write_text(json.dumps(config_to_dict(config)))
+        assert run(["report", "--config", str(path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "mc.json"
+        assert run(["mc", "--config", str(path), "--pulses", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "hsps: model validity:" in err and "pattern 011" in err
+        assert not out.exists()
+
+    def test_shipped_config_frozen(self, tmp_path):
+        # estimates and predictions to the last bit, recorded before the
+        # figures moved to stats._figures: a change to the draw, the
+        # estimator or the predictions shows up here
+        out = tmp_path / "mc.json"
+        assert run(["mc", "--config", "configs/symmetric.json", "--pulses", "20000000",
+                    "--seed", "5", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert {key: doc[key] for key in ("estimates", "predictions")} == {
+            "estimates": {
+                "car": {"n_effective": 462, "std_error": 0.7441245600973779,
+                        "value": 15.502164502164502},
+                "eta_d": {"n_effective": 6700, "std_error": 0.0004941498010271139,
+                          "value": 0.03731093934466398},
+                "g_c2": {"n_effective": 83, "std_error": 0.022502130054591826,
+                         "value": 0.20296980664529488},
+                "h": {"n_effective": 6700, "std_error": 0.008235830017118567,
+                      "value": 0.621848989077733},
+            },
+            "predictions": {"car": 15.234674751477277, "eta_d": 0.03763478160456619,
+                            "g_c2": 0.20892195055663731, "h": 0.6272463600761031},
+        }
+
+
+CORRECTED_CSV = (
+    b"p_ave_mw,p_pair,car,car_err,g_c2,g_c2_err,h,h_err,raw_h,raw_h_err,raman_fraction\r\n"
+    b"0.5,0.0094136229,22.042774,5.583,0.13358071,0.02974,0.49794856,0.02472,0.20729685,"
+    b"0.008609,0.583698\r\n"
+    b"0.75,0.021279184,10.284865,1.003,0.26380019,0.02642,0.53485368,0.01755,0.27706774,"
+    b"0.00791,0.481975\r\n"
+    b"1,0.037552246,7.6555464,0.4843,0.50368412,0.02864,0.52593392,0.0134,0.30883503,"
+    b"0.007032,0.412787\r\n"
+    b"1.25,0.058915307,5.2065377,0.2056,0.66645933,0.02562,0.52458778,0.01122,0.33625731,"
+    b"0.006551,0.359007\r\n"
+)
+
 
 class TestFitAndCorrect:
     @pytest.fixture
@@ -323,6 +374,14 @@ class TestFitAndCorrect:
         assert lines[0].startswith("p_ave_mw,")
         assert len(lines) == 5
         assert (tmp_path / "corrected.csv.manifest.json").exists()
+
+    def test_corrected_csv_frozen(self, data_path, config_path, tmp_path):
+        # the whole CSV, byte for byte, as recorded before the figures moved
+        # to stats._figures
+        out = tmp_path / "corrected.csv"
+        assert run(["correct", "--data", data_path, "--config", config_path,
+                    "--out", str(out)]) == 0
+        assert out.read_bytes() == CORRECTED_CSV
 
     @pytest.mark.parametrize("detector", [0, 1], ids=["herald", "arm2"])
     def test_zero_efficiency_exits_1(self, data_path, tmp_path, capsys, detector):

@@ -25,7 +25,7 @@ from hsps.montecarlo import (
     simulate,
 )
 from hsps.oracle import gaussian_click_probs
-from hsps.stats import CountProbabilities, full_report
+from hsps.stats import CountProbabilities, _figures, _herald_norm, full_report
 
 EFF = (0.5, 0.8, 0.8)
 
@@ -595,6 +595,23 @@ class TestEstimate:
             raman = (0.05, 0.05, 1.0)
         pred = model_predictions(build_pulse_model(config, raman=raman), config)
         assert {k: v for k, v in pred.items() if k != "joint"} == expected
+
+    def test_values_are_figures(self, symmetric):
+        # at beta = 0 the estimates are stats._figures of the tallies, to the bit
+        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)
+        t = self._tallies(coinc_13=1_900)
+        est = estimate(t, config)
+        assert _figures(t.singles_1, t.coinc_12, t.coinc_13, t.acc_12, t.triples_123,
+                        _herald_norm(config)) == (est.car.value, est.g_c2.value,
+                                                  est.eta_d.value, est.h.value)
+
+    def test_undefined_predictions_are_none(self, symmetric):
+        # arm 2 never clicks: no 1-2 coincidences or accidentals, and no
+        # norm for H; estimate refuses such tallies, the predictions are None
+        config = symmetric(1.0, 1.0, 0.01, det_efficiencies=(0.5, 0.0, 0.8))
+        pred = model_predictions(build_pulse_model(config), config)
+        assert {k: v for k, v in pred.items() if k != "joint"} == {
+            "car": None, "g_c2": None, "eta_d": 0.0, "h": None}
 
     def test_zero_accidentals_is_actionable(self, symmetric):
         config = symmetric(1.0, 1.0, 0.01, det_efficiencies=EFF)

@@ -21,7 +21,7 @@ from hsps.oracle import (
     write_comparison_csv,
 )
 from hsps.montecarlo import build_pulse_model
-from hsps.stats import full_report
+from hsps.stats import _figures, _herald_norm, full_report
 
 EFF = (0.5, 0.8, 0.8)
 
@@ -533,3 +533,38 @@ class TestComparisonReport:
         write_comparison_csv(rows, path)
         header = path.read_text().splitlines()[0]
         assert header == "sigma_s_prime,sigma_i_prime,g_squared,quantity,analytic,numeric,rel_err"
+
+
+class TestClosedFormGapsToExactState:
+    """Relative gaps of the closed-form figures to the same figures of the
+    exact Gaussian state's threshold clicks, on energy-matched setups with
+    sigma' = (1, 1) and arm efficiencies 0.8.  Each gap is checked at 128 and
+    256 click points, so grid doubling is part of the check."""
+
+    @staticmethod
+    def gaps(eta_1, g_squared):
+        """(CAR, g_c2, H) gaps, exact / closed form - 1, on 128 and 256 points."""
+        config = make_symmetric_config(1.0, 1.0, g_squared, det_efficiencies=(eta_1, 0.8, 0.8))
+        _, closed = full_report(config)
+        for n in (128, 256):
+            c = gaussian_click_probs(config, *make_click_grids(config, n), order="all_order")
+            car, g_c2, _, h = _figures(c.p1, c.p12, c.p13, c.p12_acc, c.p123, _herald_norm(config))
+            yield car / closed.car - 1, g_c2 / closed.g_c2_exact - 1, h / closed.heralding_eff - 1
+
+    @pytest.mark.parametrize("eta_1, gap", [(0.2, -0.051909), (0.5, -0.12970), (0.9, -0.23341)])
+    def test_heralded_g2_gap_grows_with_herald_efficiency(self, eta_1, gap):
+        # E[N1 N2 N3] counts a two-photon herald twice, a threshold click
+        # once: the gap stays at low gain and grows with the herald efficiency
+        for _, g_c2_gap, _ in self.gaps(eta_1, 1e-5):
+            assert g_c2_gap == pytest.approx(gap, rel=1e-4)
+
+    def test_car_and_h_gaps_are_first_order_in_gain(self):
+        (low_128, low_256), (high_128, high_256) = (list(self.gaps(0.5, g)) for g in (1e-3, 2e-3))
+        for low, high in ((low_128, high_128), (low_256, high_256)):
+            assert low[0] == pytest.approx(1.2264e-3, rel=1e-4)
+            assert high[0] == pytest.approx(2.4104e-3, rel=1e-4)
+            assert low[2] == pytest.approx(2.5834e-3, rel=1e-4)
+            assert high[2] == pytest.approx(5.1425e-3, rel=1e-4)
+            # doubling the gain doubles both gaps, to within a few percent
+            assert high[0] / low[0] == pytest.approx(2.0, rel=0.03)
+            assert high[2] / low[2] == pytest.approx(2.0, rel=0.03)

@@ -401,3 +401,26 @@ class TestFullReport:
         assert doc["p1"] == counts.p1
         assert doc["car"] == figures.car
         assert set(doc) >= {"p1", "p12", "p123", "car", "g_c2_exact", "heralding_eff", "p_pair"}
+
+
+class TestFigures:
+    """stats._figures, the one definition of CAR, g_c2, eta_D and H."""
+
+    COUNTS = dict(n1=20_000, c12=2_000, c13=1_500, a12=240, t123=60, herald_norm=0.4)
+
+    @pytest.mark.parametrize("zero, undefined", [
+        ("a12", {"car"}),
+        ("c12", {"g_c2"}),
+        ("c13", {"g_c2"}),
+        ("n1", {"eta_d", "h"}),
+        ("herald_norm", {"h"}),
+    ])
+    def test_zero_denominator_is_none(self, zero, undefined):
+        figures = stats._figures(**{**self.COUNTS, zero: 0})
+        named = dict(zip(("car", "g_c2", "eta_d", "h"), figures))
+        assert {name for name, value in named.items() if value is None} == undefined
+
+    def test_ratios(self):
+        car, g_c2, eta_d, h = stats._figures(**self.COUNTS)
+        assert (car, g_c2, eta_d, h) == (2_000 / 240, 60 * 20_000 / (1_500 * 2_000),
+                                         1_760 / 20_000, 1_760 / 20_000 / 0.4)
