@@ -11,15 +11,15 @@ Two independent machines live here:
   and of L^T times the cross kernel: no n x n number kernel is built;
 
 * a Gaussian-state click engine (:func:`gaussian_click_probs`) that takes
-  the Schmidt decomposition of the discretized pair kernel (one symmetric
-  eigendecomposition on the click grids, where the kernel is a symmetric
-  Hankel matrix; an SVD otherwise), keeps the Schmidt pairs that carry
-  light, and treats the dual-band filter, detector efficiencies and the
-  50/50 coupler (vacuum in its second port, folded into the signal-band
-  loss of each arm) as losses projected onto those pairs.  Every no-click
-  probability is then a small log-determinant in the Schmidt basis, and the
-  click probabilities are assembled from singles, pair and triple connected
-  terms, so that no probability is a difference of numbers close to one.
+  the Schmidt decomposition of the discretized pair kernel (one eigh on the
+  click grids, where the kernel is a symmetric Hankel matrix; an SVD
+  otherwise), keeps the Schmidt pairs that carry light, and projects each
+  band's loss onto them.  The 50/50 coupler (vacuum in its second port)
+  passes a fraction of the one signal band to each arm, so both arms share
+  one decomposition of it.  Every no-click probability is a small
+  log-determinant in the Schmidt basis, and the click probabilities are
+  assembled from singles, pair and triple connected terms, so that no
+  probability is a difference of numbers close to one.
 
 In ``low_gain`` mode the click engine returns the leading-order count
 probabilities of the same state from the quadrature oracle's moment
@@ -343,16 +343,17 @@ def numeric_counts(
 
 
 def _engine_inputs(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
-    """(R, t1, t2_band, t3_band) for click_probs_from_pair_kernel: the pair
-    kernel times sqrt(h_s h_i), and per mode the intensity transmission to
-    detector 1 (idler) and to each arm detector without the coupler split."""
+    """(R, t_idler, t_signal, arms) for click_probs_from_pair_kernel: the
+    pair kernel times sqrt(h_s h_i); per mode the intensity transmission
+    to detector 1 (idler) and to the coupler (signal); and the shares
+    e2 / 2 and e3 / 2 of the signal band that the coupler arms detect."""
     fs, fi, phi = _model_on_grids(config, grid_s, grid_i)
     R = pair_kernel_leading(phi, config.gain, config.pump)
     R *= np.sqrt(grid_s.spacing * grid_i.spacing)
     e1, e2, e3 = (d.efficiency for d in config.detectors)
-    t1 = config.idler_channel_transmission * e1 * fi**2
-    eta_s = config.signal_channel_transmission
-    return R, t1, eta_s * e2 * fs**2, eta_s * e3 * fs**2
+    t_idler = config.idler_channel_transmission * e1 * fi**2
+    t_signal = config.signal_channel_transmission * fs**2
+    return R, t_idler, t_signal, (0.5 * e2, 0.5 * e3)
 
 
 def _log_det_sym(S: np.ndarray) -> float:
@@ -363,14 +364,16 @@ def _log_det_sym(S: np.ndarray) -> float:
 
 def click_probs_from_pair_kernel(
     R: np.ndarray,
-    t1: np.ndarray,
-    t2_band: np.ndarray,
-    t3_band: np.ndarray,
+    t_idler: np.ndarray,
+    t_signal: np.ndarray,
+    arms: tuple[float, float],
 ) -> CountProbabilities:
     """Threshold click probabilities for the squeezed state exp(sum R a+ b+ - h.c.).
 
-    Collapsing R to a single entry r with scalar transmissions reproduces the
-    two-mode squeezed vacuum result P(click) = 1 - 1/(1 + t sinh^2 r).
+    t_idler and t_signal are each mode's intensity transmission to detector 1
+    and to the 50/50 coupler; arms = (a2, a3) are the fractions of that one
+    signal band that detectors 2 and 3 see.  A 1 x 1 R with scalar
+    transmissions gives the two-mode squeezed vacuum, P = 1 - 1/(1 + t sinh^2 r).
 
     Everything runs on the r Schmidt pairs R = U diag(lam) V^T that carry
     light: sinh^2 lam above SCHMIDT_CUTOFF of the peak, 25 to 64 pairs on
@@ -382,19 +385,22 @@ def click_probs_from_pair_kernel(
     pairs and the triple are first order in the cross amplitudes of the
     dropped pairs; at this cutoff all seven probabilities agree with the
     extended-precision reference of tests/test_click_reference.py to ~1e-14.
-    With N = diag(sinh^2 lam), C = diag(sinh lam cosh lam) and a band
-    loss projected onto the pairs, M = U^T diag(t) U (signal) or
-    V^T diag(t) V (idler), one band set stays dark with probability
-    q = exp(-l), l = log det(I + N M).  Two sets stay dark with
-    q_a q_b exp(rho_ab), where rho_ab = -log det(I - D W_a D W_b) uses the
-    saturations W = M (I + N M)^-1, D = C across the bands and D = N for the
-    two signal arms.  The triple adds the third-order connected term c123,
-    the change of rho_23 when the idler stays dark.
+    With N = diag(sinh^2 lam), C = diag(sinh lam cosh lam) and a band loss
+    projected onto the pairs, M = T^T T with T from a thin QR of
+    diag(sqrt t) U (signal) or diag(sqrt t) V (idler), one eigh
+    T N T^T = P diag(kappa) P^T serves every fraction a of the band: it
+    stays dark with probability q = exp(-l), l = sum log1p(a kappa), and its
+    saturation a M (I + a N M)^-1 is Z^T Z, Z = sqrt(a / (1 + a kappa)) P^T T.
+    The idler is its band at a = 1.  Two sets stay dark with
+    q_a q_b exp(rho_ab), rho_ab = -log det(I - D W_a D W_b), where D = C
+    across the bands and D = N between the arms, which are diagonal in P:
+    rho_23 = -sum log1p(-a2 a3 kappa^2 / ((1 + a2 kappa)(1 + a3 kappa))).
+    The triple adds the third-order connected term c123, the change of
+    rho_23 when the idler stays dark.
     """
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    t1 = np.atleast_1d(np.asarray(t1, dtype=float))
-    t2_band = np.atleast_1d(np.asarray(t2_band, dtype=float))
-    t3_band = np.atleast_1d(np.asarray(t3_band, dtype=float))
+    t_idler, t_signal = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (t_idler, t_signal))
+    a2, a3 = arms
     symmetric = R.shape[0] == R.shape[1] and np.array_equal(R, R.T)
     if symmetric:
         # the eigh route of the docstring, in descending lam
@@ -421,32 +427,25 @@ def click_probs_from_pair_kernel(
     lam, n = lam[keep], n[keep]
     c = np.sinh(lam) * np.cosh(lam)
 
-    # each pair is a two-mode squeezer with x covariance [[n + 1/2, c], [c, n + 1/2]]
-    # and p covariance [[n + 1/2, -c], [-c, n + 1/2]]: its symplectic eigenvalue
-    # 2 sqrt((n + 1/2)^2 - c^2) is 1, and the losses keep the state physical
-    nu = 2.0 * np.sqrt(np.maximum((n + 0.5 - c) * (n + 0.5 + c), 0.0))
-    nu_min = float(np.min(nu, initial=1.0))
-    if nu_min < 1.0 - 1e-9:
-        raise OracleConditioningError(
-            f"minimum symplectic eigenvalue {nu_min:.12f} < 1: covariance unphysical"
-        )
-
     def band(modes, t):
-        """(l, Z, M) for the loss M = modes^T diag(t) modes: l = log det(I + N M)
-        and the saturation M (I + N M)^-1 = Z^T Z, from M = T^T T (thin QR)."""
+        """(kappa, share), share(a) = (l, Z, a M) at the fraction a of the band."""
         T = np.linalg.qr(np.sqrt(t)[:, None] * modes, mode="r")
         kappa, P = np.linalg.eigh((T * n) @ T.T)
-        return float(np.sum(np.log1p(kappa))), (P.T @ T) / np.sqrt(1.0 + kappa)[:, None], T.T @ T
+        pt, m = P.T @ T, T.T @ T
+        return kappa, lambda a: (
+            float(np.sum(np.log1p(a * kappa))), np.sqrt(a / (1.0 + a * kappa))[:, None] * pt, a * m
+        )
 
     def connected(za, d, zb):
         """rho = -log det(I - D W_a D W_b) from the PSD product B B^T."""
         b = za @ (d[:, None] * zb.T)
         return -_log_det_sym(-(b @ b.T))
 
-    l1, z1, _ = band(V, t1)
-    l2, z2, m2 = band(U, 0.5 * t2_band)
-    l3, z3, m3 = band(U, 0.5 * t3_band)
-    rho12, rho13, rho23 = connected(z1, c, z2), connected(z1, c, z3), connected(z2, n, z3)
+    _, idler = band(V, t_idler)
+    kappa, signal = band(U, t_signal)
+    (l1, z1, _), (l2, z2, m2), (l3, z3, m3) = idler(1.0), signal(a2), signal(a3)
+    rho12, rho13 = connected(z1, c, z2), connected(z1, c, z3)
+    rho23 = -float(np.sum(np.log1p(-a2 * a3 * kappa**2 / ((1 + a2 * kappa) * (1 + a3 * kappa)))))
 
     # c123 = log det(I - G W_2) + log det(I - G W_3) - log det(I - G W_23) with
     # G = C W_1 C, the photon number a dark idler removes from the signal band.

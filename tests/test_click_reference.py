@@ -9,7 +9,8 @@ quantization of I - D, and the Gaussian overlap gives
 
     q = prod sech^2(lam) / det(I - tau V^T B V tau U^T A U),
 
-with A = I - D on the signal band and B = I - D on the idler.  The Schmidt
+with A = I - D on the signal band and B = I - D on the idler.  Each coupler
+arm's D is its share of the signal band's transmission.  The Schmidt
 basis comes from mpmath's eigsy of R^T R, with U lam = R V.  The inclusion-
 exclusion over the seven determinants then runs at 60 digits, so nothing
 cancels that matters at double precision.
@@ -65,7 +66,7 @@ def reference_click_probs(sig_s, sig_i, g2, efficiencies):
     """(engine inputs, reference probabilities as mpf) for one config."""
     grids, R, V, P, lam = _schmidt(sig_s, sig_i, g2)
     config = make_symmetric_config(sig_s, sig_i, g2, det_efficiencies=efficiencies)
-    _, t1, t2b, t3b = _engine_inputs(config, *grids)
+    _, t1, t_signal, (a2, a3) = _engine_inputs(config, *grids)
     with mpmath.workdps(DPS):
         eye = np.diag(np.full(lam.size, mpmath.mpf(1), dtype=object))
         one = mpmath.mpf(1)
@@ -79,7 +80,7 @@ def reference_click_probs(sig_s, sig_i, g2, efficiencies):
             w = np.array([scale * mpmath.mpf(x) for x in t], dtype=object)
             return _mul(basis.T, w[:, None] * basis)
 
-        arm2, arm3 = project(P, t2b, one / 2), project(P, t3b, one / 2)
+        arm2, arm3 = project(P, t_signal, mpmath.mpf(a2)), project(P, t_signal, mpmath.mpf(a3))
         idler_dark = eye - project(V, t1, one)
         # signal losses seen through tau (idler detected) or sinh (not detected)
         tau_x = {k: tanh_over[:, None] * x * tanh_over[None, :] for k, x in ((2, arm2), (3, arm3))}
@@ -100,7 +101,7 @@ def reference_click_probs(sig_s, sig_i, g2, efficiencies):
             "p123": (1 - q[(1,)] - q[(2,)] - q[(3,)]
                      + q[(1, 2)] + q[(1, 3)] + q[(2, 3)] - q[(1, 2, 3)]),
         }
-    return (R, t1, t2b, t3b), p
+    return (R, t1, t_signal, (a2, a3)), p
 
 
 def _relative_errors(case):
@@ -114,9 +115,21 @@ def _relative_errors(case):
     (1.0, 1.0, 1e-5, (0.5, 0.8, 0.8)),
     (0.3, 2.0, 5e-2, (0.5, 0.8, 0.8)),
     (2.0, 2.0, 1e-3, (1.0, 1.0, 1.0)),
+    # unequal arms
+    (1.0, 1.0, 1e-5, (0.5, 0.6, 0.9)),
+    (0.3, 2.0, 5e-2, (0.5, 0.3, 0.8)),
 ])
 def test_matches_extended_precision(case):
     _, err = _relative_errors(case)
+    for field in FIELDS:
+        assert err[field] <= 1e-13, (field, err[field])
+
+
+@pytest.mark.parametrize("efficiencies", [(0.5, 0.8, 0.8), (0.5, 0.6, 0.9)])
+def test_high_gain_matches_extended_precision(efficiencies):
+    # gains at which a symplectic-eigenvalue check that measured only
+    # rounding once raised OracleConditioningError
+    _, err = _relative_errors((1.0, 1.0, 3.0, efficiencies))
     for field in FIELDS:
         assert err[field] <= 1e-13, (field, err[field])
 

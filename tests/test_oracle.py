@@ -257,16 +257,16 @@ class TestGaussianClickEngine:
         # coupler into arms of unequal transmission.  The expected values are
         # exact rational arithmetic on the float inputs, so the
         # inclusion-exclusion below loses nothing to cancellation
-        t2, t3 = 0.3, 0.7
+        a2, a3 = 0.15, 0.35
         counts = click_probs_from_pair_kernel(
-            np.array([[r]]), np.array([eta]), np.array([t2]), np.array([t3])
+            np.array([[r]]), np.array([eta]), np.array([1.0]), (a2, a3)
         )
         n_bar = Fraction(math.sinh(r) ** 2)
 
         def q(*labels):
-            # no click anywhere in the set: each arm sees half its band
-            # transmission, and the arms add on the one signal mode
-            tau_s = sum(Fraction(t) / 2 for lbl, t in ((2, t2), (3, t3)) if lbl in labels)
+            # no click anywhere in the set: each arm sees its share of the
+            # signal mode, and the arms add on that one mode
+            tau_s = sum(Fraction(a) for lbl, a in ((2, a2), (3, a3)) if lbl in labels)
             tau_i = Fraction(eta) if 1 in labels else Fraction(0)
             return 1 / (1 + n_bar * (tau_s + tau_i - tau_s * tau_i))
 
@@ -287,16 +287,17 @@ class TestGaussianClickEngine:
         # transmission given to them can move a click probability
         rng = np.random.default_rng(3)
         R = 0.2 * rng.standard_normal((6, 5))
-        t1, t2b, t3b = (rng.uniform(0.1, 0.9, n) for n in (5, 6, 6))
+        t_idler, t_signal = rng.uniform(0.1, 0.9, 5), rng.uniform(0.1, 0.9, 6)
+        arms = tuple(rng.uniform(0.1, 0.5, 2))
         padded = np.zeros((9, 6))
         padded[:6, :5] = R
-        pad1, pad2, pad3 = (rng.uniform(0.1, 0.9, n) for n in (1, 3, 3))
-        base = click_probs_from_pair_kernel(R, t1, t2b, t3b)
+        pad_idler, pad_signal = rng.uniform(0.1, 0.9, 1), rng.uniform(0.1, 0.9, 3)
+        base = click_probs_from_pair_kernel(R, t_idler, t_signal, arms)
         wide = click_probs_from_pair_kernel(
             padded,
-            np.concatenate([t1, pad1]),
-            np.concatenate([t2b, pad2]),
-            np.concatenate([t3b, pad3]),
+            np.concatenate([t_idler, pad_idler]),
+            np.concatenate([t_signal, pad_signal]),
+            arms,
         )
         for field in ("p1", "p2", "p3", "p12", "p13", "p23", "p123"):
             assert rel_err(getattr(wide, field), getattr(base, field)) < 1e-9, field
@@ -310,16 +311,18 @@ class TestGaussianClickEngine:
         # mode and makes R non-square, which sends the same physics through
         # the SVD route.  Half the Schmidt coefficients of R are negative
         # eigenvalues, and R = |R| J with J the mirror of the grid, so only
-        # a loss that is not mirror-symmetric (tilted) sees their signs
+        # a loss that is not mirror-symmetric (tilted) sees their signs; the
+        # tilt of the signal band reaches both coupler arms
         config = symmetric(sig_s, sig_i, 0.02, det_efficiencies=EFF)
         grid_s, grid_i = make_click_grids(config, n)
-        R, t1, t2b, t3b = oracle._engine_inputs(config, grid_s, grid_i)
+        R, t_idler, t_signal, arms = oracle._engine_inputs(config, grid_s, grid_i)
         if tilted:
-            t1, t2b = t1 * np.linspace(1.0, 0.5, n), t2b * np.linspace(0.5, 1.0, n)
+            t_idler = t_idler * np.linspace(1.0, 0.5, n)
+            t_signal = t_signal * np.linspace(0.5, 1.0, n)
         assert np.array_equal(R, R.T)
-        by_eigh = click_probs_from_pair_kernel(R, t1, t2b, t3b)
+        by_eigh = click_probs_from_pair_kernel(R, t_idler, t_signal, arms)
         by_svd = click_probs_from_pair_kernel(
-            np.hstack([R, np.zeros((n, 1))]), np.append(t1, 0.0), t2b, t3b
+            np.hstack([R, np.zeros((n, 1))]), np.append(t_idler, 0.0), t_signal, arms
         )
         for field in ("p1", "p2", "p3", "p12", "p13", "p23", "p123"):
             assert rel_err(getattr(by_eigh, field), getattr(by_svd, field)) <= 1e-14, field
@@ -339,8 +342,32 @@ class TestGaussianClickEngine:
         assert calls == []
         R = np.array([[0.3, 0.1], [np.nextafter(0.1, 1.0), 0.2]])
         assert not np.array_equal(R, R.T)
-        click_probs_from_pair_kernel(R, np.ones(2), np.ones(2), np.ones(2))
+        click_probs_from_pair_kernel(R, np.ones(2), np.ones(2), (0.5, 0.5))
         assert calls == [(2, 2)]
+
+    def test_arms_share_one_signal_band_decomposition(self, symmetric, monkeypatch):
+        # one thin QR and one eigh per band, idler and signal; the two
+        # eigvalsh are the herald pairs' log-dets and the third is c123,
+        # since rho_23 is diagonal in the signal band's eigenbasis
+        config = symmetric(1.0, 1.0, 0.02, det_efficiencies=(0.5, 0.6, 0.9))
+        calls = {"qr": 0, "eigvalsh": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        gaussian_click_probs(config, order="all_order")
+        assert calls == {"qr": 2, "eigvalsh": 3}
+
+    @pytest.mark.parametrize("g_squared", [1.75, 2.25, 5.0])
+    def test_high_gain_gives_valid_counts(self, symmetric, g_squared):
+        # a symplectic-eigenvalue check that only measured rounding used to
+        # raise OracleConditioningError at these gains on the default grids
+        config = symmetric(1.0, 1.0, g_squared, det_efficiencies=EFF)
+        counts = gaussian_click_probs(config, order="all_order")
+        assert 0.0 < counts.p123 < counts.p23 < counts.p2 < 1.0
+        assert 0.0 < counts.p123 < counts.p12 < counts.p1 < 1.0
 
     def test_low_gain_agrees_with_quadrature(self, symmetric):
         for sig_s, sig_i in [(1.0, 1.0), (2.0, 0.3)]:
@@ -388,7 +415,8 @@ class TestGaussianClickEngine:
             assert slope == pytest.approx(2.0, abs=0.1)
 
     def test_state_is_physical(self, symmetric):
-        # the symplectic check runs on every all_order call
+        # each Schmidt pair is a pure two-mode squeezer and every loss keeps
+        # the state physical, so the clicks are probabilities
         config = symmetric(0.5, 1.5, 0.02, det_efficiencies=EFF)
         counts = gaussian_click_probs(config, order="all_order")
         assert 0.0 < counts.p1 < 1.0
@@ -504,8 +532,8 @@ class TestContractionsMatchEinsumReference:
         # unequal point counts keep R non-square, so a transposed band shows
         grid_s = FrequencyGrid(grid_s.band_center, grid_s.half_width, 40)
         counts = gaussian_click_probs(config, grid_s, grid_i, order="low_gain")
-        R, t1, t2b, t3b = oracle._engine_inputs(config, grid_s, grid_i)
-        t2, t3 = 0.5 * t2b, 0.5 * t3b
+        R, t1, t_signal, (a2, a3) = oracle._engine_inputs(config, grid_s, grid_i)
+        t2, t3 = a2 * t_signal, a3 * t_signal
         n_s = R @ R.T
         expected = dict(
             p1=t1 @ np.diag(R.T @ R),
