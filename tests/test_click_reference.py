@@ -75,24 +75,24 @@ def reference_click_probs(sig_s, sig_i, g2, efficiencies):
         tanh2 = np.array([mpmath.tanh(x) ** 2 for x in lam], dtype=object)
         sech2 = mpmath.fprod(1 / mpmath.cosh(x) ** 2 for x in lam)
 
-        def project(basis, t, scale):
-            # basis^T diag(scale t) basis
-            w = np.array([scale * mpmath.mpf(x) for x in t], dtype=object)
+        def project(basis, t):
+            # basis^T diag(t) basis
+            w = np.array([mpmath.mpf(x) for x in t], dtype=object)
             return _mul(basis.T, w[:, None] * basis)
 
-        arm2, arm3 = project(P, t_signal, mpmath.mpf(a2)), project(P, t_signal, mpmath.mpf(a3))
-        idler_dark = eye - project(V, t1, one)
-        # signal losses seen through tau (idler detected) or sinh (not detected)
-        tau_x = {k: tanh_over[:, None] * x * tanh_over[None, :] for k, x in ((2, arm2), (3, arm3))}
-        dark_tau_x = {k: _mul(idler_dark, x) for k, x in tau_x.items()}
-        dark_tau_x[23] = dark_tau_x[2] + dark_tau_x[3]
-        sinh_x = {k: sinh_over[:, None] * x * sinh_over[None, :] for k, x in ((2, arm2), (3, arm3))}
-        sinh_x[23] = sinh_x[2] + sinh_x[3]
+        # both coupler arms see the one signal band, each at its share
+        band = project(P, t_signal)
+        idler_dark = eye - project(V, t1)
+        # the signal band seen through tau (idler detected) or sinh (not detected)
+        dark_tau_band = _mul(idler_dark, tanh_over[:, None] * band * tanh_over[None, :])
+        sinh_band = sinh_over[:, None] * band * sinh_over[None, :]
+        share = {2: mpmath.mpf(a2), 3: mpmath.mpf(a3)}
+        share[23] = share[2] + share[3]
         base = eye - idler_dark * tanh2[None, :]
         q = {(1,): sech2 / _det(base)}
         for arms, key in (((2,), 2), ((3,), 3), ((2, 3), 23)):
-            q[arms] = 1 / _det(eye + sinh_x[key])
-            q[(1,) + arms] = sech2 / _det(base + dark_tau_x[key])
+            q[arms] = 1 / _det(eye + sinh_band * share[key])
+            q[(1,) + arms] = sech2 / _det(base + dark_tau_band * share[key])
         p = {
             "p1": 1 - q[(1,)], "p2": 1 - q[(2,)], "p3": 1 - q[(3,)],
             "p12": 1 - q[(1,)] - q[(2,)] + q[(1, 2)],
