@@ -74,11 +74,14 @@ def filtered_jsa(
     normalized to unit Frobenius norm."""
     grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_default_grids(config))
     fs, fi, phi = _model_on_grids(config, grid_s, grid_i)
-    jsa = fs[:, None] * fi[None, :] * phi
+    jsa = fs[:, None] * fi[None, :]
+    jsa *= phi
+    del phi
     norm = np.linalg.norm(jsa)
     if norm == 0.0:
         raise ValueError("joint amplitude vanished on the grid")
-    return jsa / norm
+    jsa /= norm
+    return jsa
 
 
 def schmidt(matrix: np.ndarray) -> SchmidtResult:

@@ -30,6 +30,20 @@ O(|G|^4) for singles and pairwise coincidences.  Note the triple
 coincidence differs at O(1) relative whenever herald multi-photon events
 are detected with high efficiency: a double pair puts two photons on the
 herald, which counts twice in the moment E[N1 N2 N3] but clicks once.
+
+Working set.  Every route holds the spectral model's n x n arrays (8 MB
+each at the MAX_DEFAULT_POINTS cap) only while it needs them: phi is built
+in one buffer (spectral.envelope_at_detuning), becomes the pair kernel in
+that buffer (spectral.pair_kernel_leading) and is dropped once used.  At
+most this many n x n arrays are alive at once:
+
+* quadrature (build_correlations, numeric_counts): 2, phi and the cross
+  kernel, plus the n x m partner factors;
+* low-gain: 4, both factors (whose partner nodes are the other grid),
+  phi and the cross kernel, then the factors, the cross kernel and one
+  product in the counts;
+* all-order: 2, the pair kernel and its eigenvectors;
+* modes.filtered_jsa: 2, phi and the joint amplitude.
 """
 
 from __future__ import annotations
@@ -39,6 +53,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,11 +103,19 @@ class FrequencyGrid:
         return 2.0 * self.half_width / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(
+        """The grid's points, computed once per grid; every caller shares
+        the one array, so it is read-only."""
+        return self._points
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        points = np.linspace(
             self.band_center - self.half_width,
             self.band_center + self.half_width,
             self.n_points,
         )
+        points.flags.writeable = False
+        return points
 
     def check_coverage(self, feature_width: float):
         if self.half_width < COVERAGE_FACTOR_MIN * feature_width:
@@ -247,29 +270,33 @@ def _trapezoid_partner(grid: FrequencyGrid, config: SourceConfig):
     return envelope_at_detuning(np.add.outer(offsets, nu), config.pump), weights, nu[1] - nu[0]
 
 
-def _leading_moments(config, grid_s, grid_i, model, partner_s, partner_i):
-    """CorrelationMatrices from one _model_on_grids evaluation.  A partner
-    quadrature is (phi from band points to partner nodes, node weights, node
-    spacing): each number kernel integrates phi(w, v) phi(w', v) over it,
-    so its factor is sqrt(eta |G|^2 / sigma_p^2 step weight) f phi."""
+def _number_factor(config, band, f, partner):
+    """A band's number-kernel factor.  Its partner quadrature is (phi from
+    band points to partner nodes, node weights, node spacing): the kernel
+    integrates phi(w, v) phi(w', v) over it, so its factor is
+    sqrt(eta |G|^2 / sigma_p^2 step weight) f phi."""
+    envelope, weights, step = partner
+    eta = (config.signal_channel_transmission if band == "signal"
+           else config.idler_channel_transmission)
+    scale = config.gain.g_squared / config.pump.bandwidth_sigma**2
+    factor = f[:, None] * envelope
+    factor *= np.sqrt(eta * scale * step * weights)
+    return factor
+
+
+def _leading_moments(config, grid_s, grid_i, model, signal_factor, idler_factor):
+    """CorrelationMatrices from one _model_on_grids evaluation and the two
+    bands' number factors.  The model's phi becomes the pair kernel in
+    place, so a factor whose partner is phi itself is built first."""
     fs, fi, phi = model
+    pair = pair_kernel_leading(phi, config.gain, config.pump)
     eta_s = config.signal_channel_transmission
     eta_i = config.idler_channel_transmission
-    pair = pair_kernel_leading(phi, config.gain, config.pump)
-    cross = np.sqrt(eta_s * eta_i) * fs[:, None] * fi[None, :] * pair
-    # the factors run without phi unless a partner holds it (peak memory)
-    del model, phi, pair
-    scale = config.gain.g_squared / config.pump.bandwidth_sigma**2
-
-    def number_factor(eta, f, partner):
-        envelope, weights, step = partner
-        factor = f[:, None] * envelope
-        factor *= np.sqrt(eta * scale * step * weights)
-        return factor
-
+    cross = np.sqrt(eta_s * eta_i) * fs[:, None] * fi[None, :]
+    cross *= pair
     return CorrelationMatrices(
-        signal_factor=number_factor(eta_s, fs, partner_s),
-        idler_factor=number_factor(eta_i, fi, partner_i),
+        signal_factor=signal_factor,
+        idler_factor=idler_factor,
         cross=cross,
         spacing_s=grid_s.spacing,
         spacing_i=grid_i.spacing,
@@ -284,10 +311,14 @@ def build_correlations(
     sp = config.pump.bandwidth_sigma
     grid_s.check_coverage(max(sp, config.signal_filter.sigma))
     grid_i.check_coverage(max(sp, config.idler_filter.sigma))
+    fs, fi, phi = model = _model_on_grids(config, grid_s, grid_i)
+    # each partner's phi is dropped as soon as its factor is built
     mats = _leading_moments(
-        config, grid_s, grid_i, _model_on_grids(config, grid_s, grid_i),
-        _trapezoid_partner(grid_s, config), _trapezoid_partner(grid_i, config),
+        config, grid_s, grid_i, model,
+        _number_factor(config, "signal", fs, _trapezoid_partner(grid_s, config)),
+        _number_factor(config, "idler", fi, _trapezoid_partner(grid_i, config)),
     )
+    del model, phi
     for name, leak in mats.boundary_leaks().items():
         if leak > BOUNDARY_LEAK:
             warnings.warn(
@@ -321,6 +352,7 @@ def _counts_from_matrices(config: SourceConfig, mats: CorrelationMatrices) -> Co
     # |L L^T|^2 = |L^T L|^2: the Gram matrix of the shorter side
     gram = l_s.T @ l_s if l_s.shape[1] <= l_s.shape[0] else l_s @ l_s.T
     bunch23 = 0.25 * e2 * e3 * norm_sq(gram) * ds * ds
+    del gram
     # triple contraction sum_klm c_kl c_ml a_s[k, m] of the cross kernel
     # with the signal number kernel, = |L^T c|^2
     w4 = 0.5 * e1 * e2 * e3 * norm_sq(l_s.T @ c) * ds * ds * di
@@ -348,7 +380,7 @@ def _engine_inputs(config: SourceConfig, grid_s: FrequencyGrid, grid_i: Frequenc
     to detector 1 (idler) and to the coupler (signal); and the shares
     e2 / 2 and e3 / 2 of the signal band that the coupler arms detect."""
     fs, fi, phi = _model_on_grids(config, grid_s, grid_i)
-    R = pair_kernel_leading(phi, config.gain, config.pump)
+    R = pair_kernel_leading(phi, config.gain, config.pump)   # in phi's buffer
     R *= np.sqrt(grid_s.spacing * grid_i.spacing)
     e1, e2, e3 = (d.efficiency for d in config.detectors)
     t_idler = config.idler_channel_transmission * e1 * fi**2
@@ -421,6 +453,7 @@ def click_probs_from_pair_kernel(
     if symmetric:
         kept = order[keep]
         U = Q[:, kept]
+        del Q   # n x n, before V is formed (peak memory)
         V = U * np.sign(w[kept])
     else:
         U, V = U[:, keep], V[:, keep]
@@ -506,9 +539,13 @@ def gaussian_click_probs(
     grid_s, grid_i = _both_grids_or_none(grid_s, grid_i, lambda: make_click_grids(config))
     if order == "low_gain":
         # each band's partner nodes are the other band's grid, at full weight
-        model = _model_on_grids(config, grid_s, grid_i)
-        partners = (model[2], 1.0, grid_i.spacing), (model[2].T, 1.0, grid_s.spacing)
-        mats = _leading_moments(config, grid_s, grid_i, model, *partners)
+        fs, fi, phi = model = _model_on_grids(config, grid_s, grid_i)
+        mats = _leading_moments(
+            config, grid_s, grid_i, model,
+            _number_factor(config, "signal", fs, (phi, 1.0, grid_i.spacing)),
+            _number_factor(config, "idler", fi, (phi.T, 1.0, grid_s.spacing)),
+        )
+        del model, phi   # now the pair kernel, whose product mats.cross holds
         return _counts_from_matrices(config, mats)
     if order == "all_order":
         return click_probs_from_pair_kernel(*_engine_inputs(config, grid_s, grid_i))

@@ -160,9 +160,11 @@ def _band_counts_per_gate(record: PowerPointRecord, band: str) -> float:
 def fit_quadratic(records: list[PowerPointRecord], band: str = "idler") -> QuadraticFit:
     """Least-squares fit of counts/gate vs power through the origin.
 
-    Solved by the normal equations of the design [P, P^2]; needs at least
-    three distinct power points so the residual variance has a degree of
-    freedom.
+    Solved by the normal equations of the design [P, P^2], in closed form
+    for the 2 x 2 Gram matrix; needs at least three distinct power points
+    so the residual variance has a degree of freedom.  The points are
+    rejected as degenerate when the Gram matrix's condition number
+    lambda_max / lambda_min exceeds 1e12.
     """
     if len({r.p_ave for r in records}) < 3:
         raise PipelineError("need at least 3 distinct power points for the quadratic fit")
@@ -170,13 +172,18 @@ def fit_quadratic(records: list[PowerPointRecord], band: str = "idler") -> Quadr
     y = np.array([_band_counts_per_gate(r, band) for r in records])
     design = np.column_stack([p, p**2])
     gram = design.T @ design
-    if np.linalg.cond(gram) > 1e12:
+    (a, b), (_, d) = gram.tolist()
+    det = a * d - b * b
+    # a symmetric 2 x 2 has lambda_min = det / lambda_max
+    lam_max = 0.5 * (a + d) + math.hypot(0.5 * (a - d), b)
+    if not det > 0.0 or lam_max * lam_max > 1e12 * det:
         raise PipelineError("power points are degenerate: quadratic fit is rank deficient")
-    coeffs = np.linalg.solve(gram, design.T @ y)
+    inv = np.array([[d, -b], [-b, a]]) / det
+    coeffs = inv @ (design.T @ y)
     residuals = y - design @ coeffs
     dof = len(records) - 2
     sigma2 = float(residuals @ residuals) / dof
-    cov = sigma2 * np.linalg.inv(gram)
+    cov = sigma2 * inv
     return QuadraticFit(
         s1=float(coeffs[0]),
         s2=float(coeffs[1]),

@@ -1,13 +1,14 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hsps.config import ConfigWarning, make_symmetric_config
-from hsps import oracle
+from hsps.config import ConfigWarning, load_config, make_symmetric_config
+from hsps import modes, oracle
 from hsps.oracle import (
     FrequencyGrid,
     OracleConditioningError,
@@ -65,6 +66,14 @@ class TestFrequencyGrid:
         pts = grid.points()
         assert pts[0] == 94.0 and pts[-1] == 106.0
         assert grid.spacing == pytest.approx(12.0 / 32)
+
+    def test_points_computed_once_and_read_only(self):
+        grid = FrequencyGrid(100.0, 6.0, 33)
+        pts = grid.points()
+        assert np.array_equal(pts, np.linspace(94.0, 106.0, 33))
+        assert grid.points() is pts
+        with pytest.raises(ValueError, match="read-only"):
+            pts[0] = 0.0
 
 
 SIZED_SIGMAS = (0.1, 0.3, 1.0, 3.0, 5.0)
@@ -596,3 +605,73 @@ class TestClosedFormGapsToExactState:
             # doubling the gain doubles both gaps, to within a few percent
             assert high[0] / low[0] == pytest.approx(2.0, rel=0.03)
             assert high[2] / low[2] == pytest.approx(2.0, rel=0.03)
+
+
+def _traced_peak(route):
+    """Peak traced allocation of one call of route, after a warm-up call."""
+    route()
+    tracemalloc.start()
+    try:
+        route()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Each route that builds n x n spectral arrays holds at most a couple
+    of them at once.  Peaks are traced at 512 points and counted in n x n
+    float64 arrays; each bound sits below the peak that one more array
+    alive at the peak would give (quadrature 2.40, low-gain 4.07,
+    all-order 2.06 and filtered_jsa 2.07 arrays as measured)."""
+
+    N = 512
+
+    @pytest.mark.parametrize("route, bound", [
+        ("quadrature", 2.6), ("low_gain", 4.3), ("all_order", 2.3), ("filtered_jsa", 2.3),
+    ])
+    def test_peak_in_arrays(self, route, bound):
+        config = make_symmetric_config(0.3, 0.3, 0.01, det_efficiencies=EFF)
+        default = make_default_grids(config, self.N)
+        click = make_click_grids(config, self.N)
+        call = {
+            "quadrature": lambda: numeric_counts(config, *default),
+            "low_gain": lambda: gaussian_click_probs(config, *click, order="low_gain"),
+            "all_order": lambda: gaussian_click_probs(config, *click, order="all_order"),
+            "filtered_jsa": lambda: modes.filtered_jsa(config, *default),
+        }[route]
+        arrays = _traced_peak(call) / (8 * self.N**2)
+        assert arrays < bound
+
+
+class TestShippedConfigFrozen:
+    """The count probabilities of configs/symmetric.json on each route, to
+    the bit, as recorded before the spectral arrays were built in place."""
+
+    FIELDS = ("p1", "p2", "p3", "p12", "p13", "p23", "p12_acc", "p13_acc", "p123")
+    FROZEN = {
+        "quadrature": (
+            0.008958895840817414, 0.0026438806830244425, 0.003745497634284627,
+            0.00036085234004202096, 0.0005112074817261963, 1.5651314473349277e-05,
+            2.368625165476518e-05, 3.3555523177584005e-05, 4.301860387855617e-06,
+        ),
+        "low_gain": (
+            0.008958895840817837, 0.002643880683024587, 0.0037454976342848317,
+            0.0003608523400420642, 0.0005112074817262577, 1.5651314473352344e-05,
+            2.3686251654767595e-05, 3.355552317758743e-05, 4.301860387856688e-06,
+        ),
+        "all_order": (
+            0.009027783926897804, 0.0026776200162335617, 0.003789949195309914,
+            0.0003741420402136095, 0.0005291557863312957, 1.60211169873576e-05,
+            2.4172974944893187e-05, 3.421484242917811e-05, 4.20364749391248e-06,
+        ),
+    }
+
+    @pytest.mark.parametrize("route", ["quadrature", "low_gain", "all_order"])
+    def test_route(self, route):
+        config = load_config("configs/symmetric.json")
+        if route == "quadrature":
+            counts = numeric_counts(config)
+        else:
+            counts = gaussian_click_probs(config, order=route)
+        assert tuple(getattr(counts, f) for f in self.FIELDS) == self.FROZEN[route]

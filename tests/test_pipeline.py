@@ -176,6 +176,43 @@ class TestQuadraticFit:
         with pytest.raises(PipelineError, match="3 distinct"):
             fit_quadratic(records)
 
+    @pytest.mark.parametrize("powers", [
+        (0.5, 0.75, 1.0, 1.25), (0.3, 0.6, 0.9, 1.2, 1.5, 1.8), (0.01, 0.5, 1.5, 3.0),
+    ])
+    def test_matches_lstsq(self, powers):
+        # the closed-form 2 x 2 normal equations against numpy's least squares
+        rng = np.random.default_rng(29)
+        gates = 400_000
+        records = []
+        for p in powers:
+            n = int(rng.poisson((0.03 * p + 0.08 * p**2) * gates))
+            tallies = TallyCounters(gates=gates, singles_1=n, singles_2=1, singles_3=1)
+            records.append(PowerPointRecord(p_ave=p, tallies=tallies))
+        fit = fit_quadratic(records)
+        p = np.array(powers)
+        y = np.array([r.tallies.singles_1 / gates for r in records])
+        design = np.column_stack([p, p**2])
+        coeffs, ssr, _, _ = np.linalg.lstsq(design, y, rcond=None)
+        np.testing.assert_allclose([fit.s1, fit.s2], coeffs, rtol=1e-12, atol=0)
+        cov = float(ssr[0]) / (len(powers) - 2) * np.linalg.inv(design.T @ design)
+        np.testing.assert_allclose(fit.covariance, cov, rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("step, degenerate", [(1e-6, True), (1e-5, False)])
+    def test_near_degenerate_powers_raise(self, step, degenerate):
+        # P and P^2 are nearly collinear on closely spaced powers: cond(Gram)
+        # is ~6e12 at a 1e-6 step and ~6e10 at 1e-5, either side of 1e12
+        powers = (1.0, 1.0 + step, 1.0 + 2.0 * step)
+        p = np.array(powers)
+        design = np.column_stack([p, p**2])
+        assert (np.linalg.cond(design.T @ design) > 1e12) == degenerate
+        records = [exact_record(q, 0.01 * q) for q in (0.25, 0.5, 1.0)]
+        records = [PowerPointRecord(p_ave=q, tallies=r.tallies) for q, r in zip(powers, records)]
+        if degenerate:
+            with pytest.raises(PipelineError, match="degenerate"):
+                fit_quadratic(records)
+        else:
+            fit_quadratic(records)
+
     def test_signal_band_uses_both_arms(self):
         tallies = TallyCounters(
             gates=1000, singles_1=10, singles_2=30, singles_3=20,
