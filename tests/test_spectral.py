@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsps.config import GainParameter, PumpSpec, make_symmetric_config
-from hsps.spectral import filter_amplitude, pair_kernel_leading, pump_envelope
+from hsps.spectral import envelope_at_detuning, filter_amplitude, pair_kernel_leading, pump_envelope
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,14 @@ class TestPumpEnvelope:
         assert va == vb
         assert 0.0 < va <= 1.0
 
+    def test_array_built_in_one_buffer_with_the_plain_bits(self):
+        detuning = np.linspace(-6.0, 6.0, 97) * SP
+        kept = detuning.copy()
+        phi = envelope_at_detuning(detuning, PUMP)
+        assert np.array_equal(detuning, kept)
+        assert np.array_equal(phi, np.exp(-(kept**2) / (4.0 * SP**2)))
+        assert [envelope_at_detuning(float(d), PUMP) for d in kept] == phi.tolist()
+
 
 class TestFilterAmplitude:
     def test_peak_at_center(self):
@@ -175,6 +183,14 @@ class TestBogoliubovKernels:
             pump_envelope(W0 + SP, W0 - SP, PUMP), GainParameter(0.04), PUMP
         )
         assert value == pytest.approx(0.2 / SP, rel=1e-12)
+
+    def test_pair_kernel_scales_the_envelope_it_is_given(self):
+        w = W0 + np.linspace(-3.0, 3.0, 9) * SP
+        phi = pump_envelope(w[:, None], w[None, :], PUMP)
+        expected = (GainParameter(0.04).amplitude / SP) * phi
+        kernel = pair_kernel_leading(phi, GainParameter(0.04), PUMP)
+        assert kernel is phi
+        assert np.array_equal(kernel, expected)
 
     def test_rejects_bad_term_count(self):
         with pytest.raises(ValueError):
