@@ -120,28 +120,31 @@ def cmd_sweep(args):
     log.info("contour grid %dx%d written to %s", n, n, args.out)
 
 
-def _quadrature_grid_points(config, boundary_leak: bool = False) -> dict:
-    """The manifest's record of the default grids the run used, [n_s, n_i],
-    and with boundary_leak the kernels' boundary-leak ratios on them; the
-    warnings of both were already given by the run itself."""
+def _quadrature_grid_points(config) -> dict:
+    """The manifest's record of the default grids the run used, [n_s, n_i];
+    their cap warning was already given by the run itself."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConfigWarning)
         grids = oracle_mod.make_default_grids(config)
-        record = {"quadrature_grid_points": [grid.n_points for grid in grids]}
-        if boundary_leak:
-            record["boundary_leak"] = oracle_mod.build_correlations(config, *grids).boundary_leaks()
-    return record
+    return {"quadrature_grid_points": [grid.n_points for grid in grids]}
 
 
 def cmd_oracle(args) -> dict:
     """Returns the manifest's record of the quadrature grids and of the
-    boundary leak of each kernel on them."""
+    boundary leak of each kernel on them, from the run's own matrices."""
     config = load_config(args.config)
-    rows = oracle_mod.comparison_rows(config, include_gaussian=True)
+    leaks = {}
+
+    def quadrature():   # the run's one build of the default-grid correlations
+        mats = oracle_mod.build_correlations(config, *oracle_mod.make_default_grids(config))
+        leaks.update(mats.boundary_leaks())
+        return oracle_mod._counts_from_matrices(config, mats)
+
+    rows = oracle_mod._comparison_rows(config, quadrature, include_gaussian=True)
     oracle_mod.write_comparison_csv(rows, args.out)
     worst = max(rows, key=lambda r: r["rel_err"])
     log.info("worst relative error %.3e on %s", worst["rel_err"], worst["quantity"])
-    return _quadrature_grid_points(config, boundary_leak=True)
+    return {**_quadrature_grid_points(config), "boundary_leak": leaks}
 
 
 def cmd_modes(args) -> dict:

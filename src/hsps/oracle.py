@@ -19,7 +19,10 @@ Two independent machines live here:
   one decomposition of it.  Every no-click probability is a small
   log-determinant in the Schmidt basis, and the click probabilities are
   assembled from singles, pair and triple connected terms, so that no
-  probability is a difference of numbers close to one.
+  probability is a difference of numbers close to one.  The pairs depend
+  on the pump, the gain and the grids only, so _source_pairs memoizes them
+  (8 entries) keyed on exactly those four frozen values, never on the
+  filters or detectors, whose losses are projected onto the pairs afresh.
 
 In ``low_gain`` mode the click engine returns the leading-order count
 probabilities of the same state from the quadrature oracle's moment
@@ -42,7 +45,9 @@ most this many n x n arrays are alive at once:
 * low-gain: 4, both factors (whose partner nodes are the other grid),
   phi and the cross kernel, then the factors, the cross kernel and one
   product in the counts;
-* all-order: 2, the pair kernel and its eigenvectors;
+* all-order: 2, the pair kernel and its eigenvectors, on a memo miss;
+  a memo entry keeps U and V, n x r each (0.05 MB at 128 points, r = 25;
+  0.72 MB at 1024, sigma' = 2, r = 44);
 * modes.filtered_jsa: 2, phi and the joint amplitude.
 """
 
@@ -53,7 +58,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -251,10 +256,17 @@ class CorrelationMatrices:
 def _model_on_grids(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
     """(f_s on grid_s, f_i on grid_i, phi on the grid product): the spectral
     model on a grid pair, each part evaluated once."""
-    ws, wi = grid_s.points(), grid_i.points()
-    fs = filter_amplitude(ws, config.signal_filter)
-    fi = filter_amplitude(wi, config.idler_filter)
-    return fs, fi, pump_envelope(ws[:, None], wi[None, :], config.pump)
+    return (*_filters_on_grids(config, grid_s, grid_i),
+            _envelope_on_grids(config.pump, grid_s, grid_i))
+
+
+def _filters_on_grids(config, grid_s, grid_i):
+    return (filter_amplitude(grid_s.points(), config.signal_filter),
+            filter_amplitude(grid_i.points(), config.idler_filter))
+
+
+def _envelope_on_grids(pump, grid_s, grid_i):
+    return pump_envelope(grid_s.points()[:, None], grid_i.points()[None, :], pump)
 
 
 def _trapezoid_partner(grid: FrequencyGrid, config: SourceConfig):
@@ -374,18 +386,38 @@ def numeric_counts(
 # ---------------------------------------------------------------------------
 
 
-def _engine_inputs(config: SourceConfig, grid_s: FrequencyGrid, grid_i: FrequencyGrid):
-    """(R, t_idler, t_signal, arms) for click_probs_from_pair_kernel: the
-    pair kernel times sqrt(h_s h_i); per mode the intensity transmission
-    to detector 1 (idler) and to the coupler (signal); and the shares
-    e2 / 2 and e3 / 2 of the signal band that the coupler arms detect."""
-    fs, fi, phi = _model_on_grids(config, grid_s, grid_i)
-    R = pair_kernel_leading(phi, config.gain, config.pump)   # in phi's buffer
+def _pair_matrix(pump, gain, grid_s, grid_i):
+    """R, the pair kernel times sqrt(h_s h_i), in phi's buffer."""
+    R = pair_kernel_leading(_envelope_on_grids(pump, grid_s, grid_i), gain, pump)
     R *= np.sqrt(grid_s.spacing * grid_i.spacing)
+    return R
+
+
+def _band_losses(config, grid_s, grid_i):
+    """(t_idler, t_signal, arms): per mode the intensity transmission to
+    detector 1 (idler) and to the coupler (signal), and the shares e2 / 2
+    and e3 / 2 of the signal band that the coupler arms detect."""
+    fs, fi = _filters_on_grids(config, grid_s, grid_i)
     e1, e2, e3 = (d.efficiency for d in config.detectors)
     t_idler = config.idler_channel_transmission * e1 * fi**2
     t_signal = config.signal_channel_transmission * fs**2
-    return R, t_idler, t_signal, (0.5 * e2, 0.5 * e3)
+    return t_idler, t_signal, (0.5 * e2, 0.5 * e3)
+
+
+def _engine_inputs(config, grid_s, grid_i):
+    """(R, t_idler, t_signal, arms) for click_probs_from_pair_kernel."""
+    R = _pair_matrix(config.pump, config.gain, grid_s, grid_i)
+    return (R, *_band_losses(config, grid_s, grid_i))
+
+
+@lru_cache(maxsize=8)
+def _source_pairs(pump, gain, grid_s, grid_i):
+    """Read-only _schmidt_pairs of _pair_matrix, memoized on its arguments;
+    lru_cache keeps no exception, so an overflow raises on every call."""
+    pairs = _schmidt_pairs(_pair_matrix(pump, gain, grid_s, grid_i))
+    for array in pairs:
+        array.flags.writeable = False
+    return pairs
 
 
 def _log_det_sym(S: np.ndarray) -> float:
@@ -428,11 +460,16 @@ def click_probs_from_pair_kernel(
     across the bands and D = N between the arms, which are diagonal in P:
     rho_23 = -sum log1p(-a2 a3 kappa^2 / ((1 + a2 kappa)(1 + a3 kappa))).
     The triple adds the third-order connected term c123, the change of
-    rho_23 when the idler stays dark.
+    rho_23 when the idler stays dark.  The pairs (_schmidt_pairs) depend on
+    R only, so gaussian_click_probs reads them from the _source_pairs memo.
     """
+    return _clicks_from_pairs(_schmidt_pairs(R), t_idler, t_signal, arms)
+
+
+def _schmidt_pairs(R):
+    """(U, V, n, c) of the Schmidt pairs of R that carry light: R ~ U diag(lam)
+    V^T over the kept pairs, n = sinh^2 lam, c = sinh lam cosh lam."""
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    t_idler, t_signal = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (t_idler, t_signal))
-    a2, a3 = arms
     symmetric = R.shape[0] == R.shape[1] and np.array_equal(R, R.T)
     if symmetric:
         # the eigh route of the docstring, in descending lam
@@ -458,7 +495,15 @@ def click_probs_from_pair_kernel(
     else:
         U, V = U[:, keep], V[:, keep]
     lam, n = lam[keep], n[keep]
-    c = np.sinh(lam) * np.cosh(lam)
+    return U, V, n, np.sinh(lam) * np.cosh(lam)
+
+
+def _clicks_from_pairs(pairs, t_idler, t_signal, arms) -> CountProbabilities:
+    """CountProbabilities from the kept Schmidt pairs (U, V, n, c) and the
+    band losses of click_probs_from_pair_kernel."""
+    U, V, n, c = pairs
+    t_idler, t_signal = (np.atleast_1d(np.asarray(t, dtype=float)) for t in (t_idler, t_signal))
+    a2, a3 = arms
 
     def band(modes, t):
         """(kappa, share), share(a) = (l, Z, a M) at the fraction a of the band."""
@@ -548,7 +593,8 @@ def gaussian_click_probs(
         del model, phi   # now the pair kernel, whose product mats.cross holds
         return _counts_from_matrices(config, mats)
     if order == "all_order":
-        return click_probs_from_pair_kernel(*_engine_inputs(config, grid_s, grid_i))
+        pairs = _source_pairs(config.pump, config.gain, grid_s, grid_i)
+        return _clicks_from_pairs(pairs, *_band_losses(config, grid_s, grid_i))
     raise ValueError(f"order must be 'low_gain' or 'all_order', got {order!r}")
 
 
@@ -569,9 +615,15 @@ COMPARISON_QUANTITIES = (
 def comparison_rows(config: SourceConfig, include_gaussian: bool = False) -> list[dict]:
     """Closed form vs quadrature (and optionally the low-gain state route)
     for one configuration; rows carry relative errors."""
+    return _comparison_rows(config, lambda: numeric_counts(config), include_gaussian)
+
+
+def _comparison_rows(config, quadrature, include_gaussian):
+    """comparison_rows with the quadrature counts from quadrature(), called
+    after the closed form, so that an invalid model fails there first."""
     bands = normalize(config)
     analytic, _ = full_report(config)
-    numeric = numeric_counts(config)
+    numeric = quadrature()
     rows = []
 
     def add(quantity: str, a: float, n: float):

@@ -8,7 +8,7 @@ from hsps.cli import build_parser, run
 from hsps.config import config_to_dict, make_symmetric_config
 from hsps.montecarlo import RNG_SCHEME
 from hsps.oracle import BOUNDARY_LEAK
-from hsps import pipeline as pl
+from hsps import oracle, pipeline as pl
 
 
 @pytest.fixture
@@ -156,6 +156,18 @@ class TestOracleManifestBoundaryLeak:
     def test_symmetric_stays_below_threshold(self, tmp_path):
         leaks = self._leaks("symmetric.json", tmp_path)
         assert all(0.0 < leak < BOUNDARY_LEAK for leak in leaks.values()), leaks
+
+    def test_leaks_come_from_the_runs_own_matrices(self, tmp_path, monkeypatch):
+        build, built = oracle.build_correlations, []
+
+        def counting_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(oracle, "build_correlations", counting_build)
+        leaks = self._leaks("symmetric.json", tmp_path)
+        assert len(built) == 1
+        assert leaks == built[0].boundary_leaks()
 
 
 class TestUsageErrors:

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -623,7 +624,8 @@ class TestWorkingSet:
     of them at once.  Peaks are traced at 512 points and counted in n x n
     float64 arrays; each bound sits below the peak that one more array
     alive at the peak would give (quadrature 2.40, low-gain 4.07,
-    all-order 2.06 and filtered_jsa 2.07 arrays as measured)."""
+    all-order 2.06 and filtered_jsa 2.07 arrays as measured).  The
+    all-order route is traced on a cleared memo, so that it decomposes."""
 
     N = 512
 
@@ -637,11 +639,97 @@ class TestWorkingSet:
         call = {
             "quadrature": lambda: numeric_counts(config, *default),
             "low_gain": lambda: gaussian_click_probs(config, *click, order="low_gain"),
-            "all_order": lambda: gaussian_click_probs(config, *click, order="all_order"),
+            "all_order": lambda: (oracle._source_pairs.cache_clear(),
+                                  gaussian_click_probs(config, *click, order="all_order")),
             "filtered_jsa": lambda: modes.filtered_jsa(config, *default),
         }[route]
         arrays = _traced_peak(call) / (8 * self.N**2)
         assert arrays < bound
+
+    def test_memo_retains_only_the_kept_pairs(self):
+        # U and V, n x 25 each, are 0.098 n x n arrays; one more n x 25
+        # array would make it 0.147, and a kept R or Q one more array
+        config = make_symmetric_config(0.3, 0.3, 0.01, det_efficiencies=EFF)
+        click = make_click_grids(config, self.N)
+        gaussian_click_probs(config, *click)
+        oracle._source_pairs.cache_clear()
+        tracemalloc.start()
+        try:
+            gaussian_click_probs(config, *click)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            oracle._source_pairs.cache_clear()
+        assert retained / (8 * self.N**2) < 0.13
+
+
+class TestSourcePairsMemo:
+    """The all-order engine decomposes a source's pair kernel once per grid
+    pair, memoized on the pump, the gain and the grids; filters and
+    detectors only weight the pairs it keeps."""
+
+    @pytest.fixture(autouse=True)
+    def cleared_memo(self):
+        oracle._source_pairs.cache_clear()
+        yield
+        oracle._source_pairs.cache_clear()
+
+    @pytest.mark.parametrize("grids", ["click", "default"])   # eigh and SVD routes
+    def test_hit_and_miss_equal_the_fresh_engine(self, grids):
+        config = make_symmetric_config(0.6, 1.5, 0.01, det_efficiencies=EFF)
+        grid_s, grid_i = (make_click_grids if grids == "click" else make_default_grids)(config)
+        fresh = click_probs_from_pair_kernel(*oracle._engine_inputs(config, grid_s, grid_i))
+        miss = gaussian_click_probs(config, grid_s, grid_i)
+        hit = gaussian_click_probs(config, grid_s, grid_i)
+        info = oracle._source_pairs.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert miss == fresh and hit == fresh
+
+    def test_filters_and_detectors_share_one_decomposition(self, monkeypatch):
+        n = 96
+        eigh, sizes = np.linalg.eigh, []
+
+        def counting_eigh(a, *args, **kwargs):
+            sizes.append(np.shape(a)[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        configs = [
+            make_symmetric_config(0.6, 0.6, 0.01, det_efficiencies=EFF),
+            make_symmetric_config(0.3, 0.9, 0.01, det_efficiencies=EFF),
+            make_symmetric_config(0.6, 0.6, 0.01, eta_signal=0.5, det_efficiencies=(0.9, 0.2, 0.4)),
+        ]
+        grids = make_click_grids(configs[0], n)
+        counts = [gaussian_click_probs(config, *grids) for config in configs]
+        assert sizes.count(n) == 1
+        assert counts[0] != counts[1] and counts[0] != counts[2]
+
+    def test_gain_pump_and_grids_each_miss(self):
+        config = make_symmetric_config(0.6, 0.6, 0.01, det_efficiencies=EFF)
+        grids = make_click_grids(config)
+        broad_pump = replace(config.pump, bandwidth_sigma=1.25)
+        variants = [
+            (replace(config, gain=replace(config.gain, g_squared=0.02)), grids),
+            (replace(config, pump=broad_pump), grids),
+            (config, make_click_grids(config, 96)),
+        ]
+        base = gaussian_click_probs(config, *grids)
+        for misses, (variant, variant_grids) in enumerate(variants, start=2):
+            assert gaussian_click_probs(variant, *variant_grids) != base
+            assert oracle._source_pairs.cache_info().misses == misses
+
+    def test_cached_pairs_reject_writes(self):
+        config = make_symmetric_config(0.6, 0.6, 0.01)
+        for array in oracle._source_pairs(config.pump, config.gain, *make_click_grids(config)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
+    def test_overflowing_gain_raises_on_every_call(self):
+        config = make_symmetric_config(1.0, 1.0, 5e4)
+        for _ in range(2):
+            with pytest.raises(OracleConditioningError, match="overflows"):
+                gaussian_click_probs(config, order="all_order")
+        assert oracle._source_pairs.cache_info().currsize == 0
 
 
 class TestShippedConfigFrozen:
